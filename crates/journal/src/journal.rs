@@ -278,7 +278,7 @@ mod tests {
             JournalError::BadVersion(0x63)
         );
         assert_eq!(
-            read_header(b"LJNL\x01").unwrap_err(),
+            read_header(b"LJNL\x02").unwrap_err(),
             JournalError::TruncatedHeader
         );
     }

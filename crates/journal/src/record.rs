@@ -22,7 +22,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"LJNL";
 
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Sanity cap on a single record body.
 pub const MAX_BODY: usize = 1 << 20;

@@ -366,22 +366,30 @@ impl KernelJournal {
         }
     }
 
+    /// Events between snapshot marks: the recording cadence, or the
+    /// reference journal's when verifying (0 = never, or off).
+    pub fn snap_every(&self) -> u64 {
+        match self {
+            KernelJournal::Off => 0,
+            KernelJournal::Record { snap_every, .. } => *snap_every,
+            KernelJournal::Verify { verifier, .. } => verifier.snap_every(),
+        }
+    }
+
     /// Should a snapshot be taken now, given the kernel has processed
     /// `events` events?
     #[inline]
     pub fn snapshot_due(&self, events: u64) -> bool {
-        let (snap_every, last) = match self {
+        let last = match self {
             KernelJournal::Off => return false,
             KernelJournal::Record {
-                snap_every,
-                last_snap_events,
-                ..
-            } => (*snap_every, *last_snap_events),
-            KernelJournal::Verify {
-                verifier,
-                last_snap_events,
-            } => (verifier.snap_every(), *last_snap_events),
+                last_snap_events, ..
+            }
+            | KernelJournal::Verify {
+                last_snap_events, ..
+            } => *last_snap_events,
         };
+        let snap_every = self.snap_every();
         snap_every != 0 && events > 0 && events.is_multiple_of(snap_every) && events != last
     }
 

@@ -128,13 +128,15 @@ impl<T> EventQueue<T> {
         self.peak
     }
 
-    /// Insert `value` keyed `(at, seq)`. `seq` must be unique.
-    pub fn push(&mut self, at: u64, seq: u64, value: T) {
+    /// Insert `value` keyed `(at, seq)`. `seq` must be unique. Returns
+    /// the value where it now lives, for callers that inspect what they
+    /// queued without first holding it on the stack.
+    pub fn push(&mut self, at: u64, seq: u64, value: T) -> &T {
         self.len += 1;
         if self.len > self.peak {
             self.peak = self.len;
         }
-        self.place(Entry { at, seq, value });
+        self.place(Entry { at, seq, value })
     }
 
     /// Key of the next entry to pop, advancing the wheel to it.
@@ -142,6 +144,12 @@ impl<T> EventQueue<T> {
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         self.advance();
         self.ready.front().map(|e| (e.at, e.seq))
+    }
+
+    /// The entry [`EventQueue::pop`] would return next, left in place.
+    pub fn peek(&mut self) -> Option<&T> {
+        self.advance();
+        self.ready.front().map(|e| &e.value)
     }
 
     /// Remove and return the entry with the smallest `(at, seq)`.
@@ -162,8 +170,9 @@ impl<T> EventQueue<T> {
             .map(|e| &e.value)
     }
 
-    /// Route one entry to `ready`, a wheel slot, or `far`.
-    fn place(&mut self, e: Entry<T>) {
+    /// Route one entry to `ready`, a wheel slot, or `far`; returns where
+    /// its value now lives.
+    fn place(&mut self, e: Entry<T>) -> &T {
         let t = e.at >> TICK_SHIFT;
         if t <= self.cursor {
             // Current (or past — e.g. injected after `run_until` moved
@@ -171,20 +180,22 @@ impl<T> EventQueue<T> {
             let key = (e.at, e.seq);
             let idx = self.ready.partition_point(|r| (r.at, r.seq) < key);
             self.ready.insert(idx, e);
-            return;
+            return &self.ready[idx].value;
         }
         // Highest bit where the target tick differs from the cursor
         // decides the level; the slot is the tick's digit at that level.
         let diff = t ^ self.cursor;
         let high = 63 - diff.leading_zeros();
-        if high >= HORIZON_BITS {
-            self.far.push(e);
-            return;
-        }
-        let level = (high / LEVEL_BITS) as usize;
-        let slot = ((t >> (level as u32 * LEVEL_BITS)) as usize) & (SLOTS - 1);
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(e);
+        let bucket = if high >= HORIZON_BITS {
+            &mut self.far
+        } else {
+            let level = (high / LEVEL_BITS) as usize;
+            let slot = ((t >> (level as u32 * LEVEL_BITS)) as usize) & (SLOTS - 1);
+            self.occupied[level] |= 1 << slot;
+            &mut self.slots[level * SLOTS + slot]
+        };
+        bucket.push(e);
+        &bucket.last().expect("just pushed").value
     }
 
     /// Advance the cursor to the next occupied tick and fill `ready`
@@ -282,16 +293,22 @@ mod tests {
     #[test]
     fn spans_levels_and_horizon() {
         let mut q = EventQueue::new();
-        // One entry per level, plus the far overflow (u64::MAX).
+        // One entry per level, plus the far overflow (u64::MAX) and the
+        // ready lane (the cursor's own tick); `push` hands back each
+        // value from wherever it landed, and `peek` shows the next pop.
         let mut expect = Vec::new();
         for level in 0..LEVELS as u32 {
             let at = 1u64 << (TICK_SHIFT + level * LEVEL_BITS);
-            q.push(at, level as u64, level as u64);
+            assert_eq!(*q.push(at, level as u64, level as u64), level as u64);
             expect.push((at, level as u64));
         }
-        q.push(u64::MAX, 99, 99);
+        assert_eq!(*q.push(u64::MAX, 99, 99), 99);
         expect.push((u64::MAX, 99));
+        assert_eq!(*q.push(0, 100, 100), 100);
+        expect.insert(0, (0, 100));
+        assert_eq!(q.peek(), Some(&100));
         assert_eq!(drain(&mut q), expect);
+        assert_eq!(q.peek(), None);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::topology::Location;
 use legion_core::time::SimTime;
+use legion_persist::mix64;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -345,6 +346,20 @@ pub struct DedupState {
     capacity: usize,
     per_sender: BTreeMap<u64, SenderWindow>,
     rejected: u64,
+    /// Wrapping sum of [`seen_term`] over every remembered `(sender, seq)`
+    /// and [`floor_term`] over every sender's floor: an order-independent
+    /// digest of the windows that `admit` keeps current in O(1).
+    window_sum: u64,
+}
+
+/// The digest term of one remembered `(sender, seq)`.
+fn seen_term(sender: u64, seq: u64) -> u64 {
+    mix64(mix64(sender ^ 0x5EE5_5EE5_5EE5_5EE5).wrapping_add(seq))
+}
+
+/// The digest term of one sender's window floor.
+fn floor_term(sender: u64, floor: u64) -> u64 {
+    mix64(mix64(sender ^ 0xF100_F100_F100_F100).wrapping_add(floor))
 }
 
 impl DedupState {
@@ -354,27 +369,34 @@ impl DedupState {
             capacity: capacity.max(1),
             per_sender: BTreeMap::new(),
             rejected: 0,
+            window_sum: 0,
         }
     }
 
     /// Admit `(sender, seq)` if this is its first delivery; reject
     /// duplicates and out-of-window stragglers.
     pub fn admit(&mut self, sender: u64, seq: u64) -> bool {
-        let w = self
-            .per_sender
-            .entry(sender)
-            .or_insert_with(|| SenderWindow {
+        let sum = &mut self.window_sum;
+        let w = self.per_sender.entry(sender).or_insert_with(|| {
+            *sum = sum.wrapping_add(floor_term(sender, 0));
+            SenderWindow {
                 floor: 0,
                 seen: BTreeSet::new(),
-            });
+            }
+        });
         if seq < w.floor || !w.seen.insert(seq) {
             self.rejected += 1;
             return false;
         }
+        *sum = sum.wrapping_add(seen_term(sender, seq));
         while w.seen.len() > self.capacity {
-            if let Some(&oldest) = w.seen.iter().next() {
-                w.seen.remove(&oldest);
-                w.floor = w.floor.max(oldest + 1);
+            if let Some(oldest) = w.seen.pop_first() {
+                let floor = w.floor.max(oldest + 1);
+                *sum = sum
+                    .wrapping_sub(seen_term(sender, oldest))
+                    .wrapping_sub(floor_term(sender, w.floor))
+                    .wrapping_add(floor_term(sender, floor));
+                w.floor = floor;
             }
         }
         true
@@ -386,27 +408,10 @@ impl DedupState {
     }
 
     /// A deterministic digest of the full window state (floors, seen
-    /// sets, reject count), for content-addressed kernel snapshots.
+    /// sets, reject count), for kernel snapshot witnesses. O(1): the
+    /// window part is maintained incrementally by [`DedupState::admit`].
     pub fn state_digest(&self) -> u64 {
-        // FNV-1a over the ordered state.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.capacity as u64);
-        mix(self.rejected);
-        for (sender, w) in &self.per_sender {
-            mix(*sender);
-            mix(w.floor);
-            mix(w.seen.len() as u64);
-            for seq in &w.seen {
-                mix(*seq);
-            }
-        }
-        h
+        mix64(mix64(self.window_sum ^ self.capacity as u64) ^ self.rejected)
     }
 }
 
@@ -643,5 +648,108 @@ mod tests {
         assert!(!d.admit(1, 3), "below the window floor");
         assert!(!d.admit(1, 9), "still remembered");
         assert!(d.admit(1, 10), "fresh sequence numbers still admitted");
+    }
+
+    /// The window digest recomputed from the windows themselves.
+    fn scratch_window_sum(d: &DedupState) -> u64 {
+        let mut sum = 0u64;
+        for (&sender, w) in &d.per_sender {
+            sum = sum.wrapping_add(floor_term(sender, w.floor));
+            for &seq in &w.seen {
+                sum = sum.wrapping_add(seen_term(sender, seq));
+            }
+        }
+        sum
+    }
+
+    /// Comparable window state: (sender, floor, seen) plus reject count.
+    fn windows(d: &DedupState) -> (Vec<(u64, u64, Vec<u64>)>, u64) {
+        let w = d
+            .per_sender
+            .iter()
+            .map(|(&s, w)| (s, w.floor, w.seen.iter().copied().collect()))
+            .collect();
+        (w, d.rejected)
+    }
+
+    proptest::proptest! {
+        /// The O(1) digest equals a from-scratch recomputation over
+        /// random admit sequences: fresh numbers, duplicates, stragglers
+        /// below the floor and evictions past the 1024-entry window.
+        #[test]
+        fn dedup_digest_matches_recomputation(
+            ops in proptest::collection::vec((0u64..2, 0u64..1400, 0u8..8), 2800..4000),
+        ) {
+            let mut d = DedupState::new(1024);
+            let mut next = [0u64; 2];
+            for (i, &(sender, back, kind)) in ops.iter().enumerate() {
+                // Mostly increasing per-sender sequence numbers (the
+                // kernel's stamping), with look-backs that land on
+                // duplicates, in-window stragglers or below the floor.
+                let n = &mut next[sender as usize];
+                let seq = if kind > 0 {
+                    *n += 1;
+                    *n
+                } else {
+                    n.saturating_sub(back)
+                };
+                d.admit(sender, seq);
+                if i % 50 == 0 {
+                    proptest::prop_assert_eq!(d.window_sum, scratch_window_sum(&d));
+                }
+            }
+            proptest::prop_assert_eq!(d.window_sum, scratch_window_sum(&d));
+            proptest::prop_assert!(d.per_sender.values().any(|w| w.floor > 0), "no eviction");
+        }
+
+        /// Two admit orders that reach the same window state have the
+        /// same digest.
+        #[test]
+        fn dedup_digest_is_order_independent(
+            pairs in proptest::collection::vec((0u64..3, 0u64..1200), 1..1500),
+            seed in proptest::arbitrary::any::<u64>(),
+            small in proptest::arbitrary::any::<bool>(),
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let capacity = if small { 16 } else { 1024 };
+            let mut shuffled = pairs.clone();
+            shuffled.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+            let (mut a, mut b) = (DedupState::new(capacity), DedupState::new(capacity));
+            for &(s, q) in &pairs {
+                a.admit(s, q);
+            }
+            for &(s, q) in &shuffled {
+                b.admit(s, q);
+            }
+            if windows(&a) == windows(&b) {
+                proptest::prop_assert_eq!(a.state_digest(), b.state_digest());
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_digest_tracks_every_state_component() {
+        let base = || {
+            let mut d = DedupState::new(4);
+            for seq in 0..6u64 {
+                d.admit(1, seq);
+            }
+            d
+        };
+        let d0 = base();
+        let mut dup = base();
+        dup.admit(1, 5); // duplicate: only the reject count moves
+        let mut fresh = base();
+        fresh.admit(1, 6); // eviction moves the floor
+        let mut other = base();
+        other.admit(2, 0); // a new sender window
+        let digests = [&d0, &dup, &fresh, &other].map(DedupState::state_digest);
+        for i in 0..digests.len() {
+            for j in i + 1..digests.len() {
+                assert_ne!(digests[i], digests[j], "states {i} and {j}");
+            }
+        }
+        assert_eq!(d0.state_digest(), base().state_digest());
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::equeue::EventQueue;
 use crate::faults::{DedupState, FaultPlan, Verdict};
-use crate::message::{Body, CallId, Message};
+use crate::message::{CallId, Message};
 use crate::metrics::{Counters, EndpointMetrics, Histogram, MetricsSnapshot, WindowedCounters};
 use crate::pool::MessagePool;
 use crate::topology::{Location, Topology};
@@ -48,6 +48,9 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use witness::Witness;
+
+mod witness;
 
 // Re-exported so endpoint crates can record flight events through
 // [`Ctx::flight`] without depending on `legion-obs` directly.
@@ -118,6 +121,10 @@ struct Slot {
     /// Receiver half of at-most-once delivery: sequence numbers already
     /// admitted, per sender.
     seen: DedupState,
+    /// This slot's current term in the snapshot witness's endpoint digest.
+    witnessed: u64,
+    /// Witnessed state changed since `witnessed` was computed.
+    stale: bool,
 }
 
 impl Slot {
@@ -127,6 +134,8 @@ impl Slot {
             meta,
             next_seq: 0,
             seen: DedupState::new(DEDUP_WINDOW),
+            witnessed: 0,
+            stale: false,
         }
     }
 }
@@ -217,6 +226,9 @@ struct Inner {
     /// Free lists for recycled message-body buffers (arg vectors,
     /// binding shells) — see [`crate::pool`].
     pool: MessagePool,
+    /// Incremental digests of the queue and endpoints that journal
+    /// snapshots witness (live only while snapshots are enabled).
+    witness: Witness,
 }
 
 /// The outcome of sending through an [`ObjectAddress`].
@@ -269,6 +281,7 @@ impl SimKernel {
                 flight_dump_on_sweep: true,
                 journal: KernelJournal::default(),
                 pool: MessagePool::new(),
+                witness: Witness::default(),
             },
         }
     }
@@ -300,6 +313,8 @@ impl SimKernel {
             },
             ep,
         ));
+        let slot = self.slots.last_mut().expect("just pushed");
+        self.inner.witness.touch(id.0 as usize, slot);
         let seq = self.inner.bump_seq();
         self.inner.enqueue(Event {
             at: self.inner.now,
@@ -317,6 +332,7 @@ impl SimKernel {
     /// deliveries become dead letters.
     pub fn remove_endpoint(&mut self, id: EndpointId) {
         if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            self.inner.witness.touch(id.0 as usize, slot);
             slot.meta.alive = false;
             slot.ep = None;
             self.inner
@@ -630,6 +646,7 @@ impl SimKernel {
     /// endpoints, so the journal covers the whole run.
     pub fn enable_journal_record(&mut self, sink: Box<dyn JournalSink>, snap_every: u64) {
         self.inner.journal = KernelJournal::record(sink, snap_every);
+        self.sync_witness();
     }
 
     /// Verify this run against a reference journal: every ingress the
@@ -643,7 +660,18 @@ impl SimKernel {
         start: ReplayStart,
     ) -> Result<(), JournalError> {
         self.inner.journal = KernelJournal::verify(data, start)?;
+        self.sync_witness();
         Ok(())
+    }
+
+    /// Run the snapshot witness exactly while the journal session takes
+    /// snapshots, seeding it from the state already present.
+    fn sync_witness(&mut self) {
+        if self.inner.journal.snap_every() > 0 {
+            self.inner.witness.start(&mut self.slots, &self.inner.queue);
+        } else {
+            self.inner.witness.stop();
+        }
     }
 
     /// Is a journal session (recording or verifying) live?
@@ -674,15 +702,15 @@ impl SimKernel {
         self.inner.flight_dump(reason, n)
     }
 
-    /// Materialize the kernel's replay-relevant state as named sections
-    /// for a content-addressed snapshot. Sections that rarely change
-    /// (idle endpoints) produce identical bytes and dedup across
-    /// snapshots. Pure metrics (histograms, per-endpoint traffic) are
-    /// excluded: they are derived observations, not inputs to execution.
-    fn state_sections(&self) -> Vec<(String, Vec<u8>)> {
-        let inner = &self.inner;
-        let mut sections = Vec::with_capacity(4 + self.slots.len());
-
+    /// The kernel's replay-relevant state as the five fixed sections of a
+    /// content-addressed snapshot: `core`, `rng` and `counters` are
+    /// encoded whole (they are small); `queue` and `endpoints` carry a
+    /// count and the witness's incrementally maintained digest, so a
+    /// snapshot costs O(endpoints changed since the last one). Pure
+    /// metrics (histograms, per-endpoint traffic) are excluded: they are
+    /// derived observations, not inputs to execution.
+    fn state_sections(&mut self) -> Vec<(String, Vec<u8>)> {
+        let inner = &mut self.inner;
         let mut w = StateWriter::new();
         w.put_u64(inner.now.as_nanos());
         w.put_u64(inner.seq);
@@ -695,67 +723,29 @@ impl SimKernel {
         w.put_u64(inner.stats.refused);
         w.put_u64(inner.stats.dead_letters);
         w.put_u64(inner.stats.events);
-        sections.push(("core".to_string(), w.finish().to_vec()));
+        let core = w.finish().into();
 
         let mut w = StateWriter::new();
         for word in inner.rng.state() {
             w.put_u64(word);
         }
-        sections.push(("rng".to_string(), w.finish().to_vec()));
+        let rng = w.finish().into();
 
         let mut w = StateWriter::new();
         for (name, value) in inner.counters.iter() {
             w.put_str(name);
             w.put_u64(value);
         }
-        sections.push(("counters".to_string(), w.finish().to_vec()));
+        let counters = w.finish().into();
 
-        // The pending queue, in deterministic (time, seq) order — the
-        // wheel's internal layout is not canonical.
-        let mut pending: Vec<&Event> = inner.queue.iter().collect();
-        pending.sort_unstable_by_key(|e| (e.at, e.seq));
-        let mut w = StateWriter::new();
-        w.put_varint(pending.len() as u64);
-        for e in pending {
-            w.put_u64(e.at.as_nanos());
-            w.put_varint(e.seq);
-            w.put_varint(e.to.0);
-            w.put_u64(e.trace.trace.0);
-            w.put_u64(e.trace.span.0);
-            match e.dedup {
-                Some((sender, n)) => {
-                    w.put_u8(1);
-                    w.put_varint(sender);
-                    w.put_varint(n);
-                }
-                None => w.put_u8(0),
-            }
-            w.put_u64(e.lat_ns);
-            match &e.kind {
-                EventKind::Start => w.put_u8(0),
-                EventKind::Deliver(m) => {
-                    w.put_u8(1);
-                    encode_message(&mut w, m);
-                }
-                EventKind::Timer(tag) => {
-                    w.put_u8(2);
-                    w.put_u64(*tag);
-                }
-            }
-        }
-        sections.push(("queue".to_string(), w.finish().to_vec()));
-
-        for (i, slot) in self.slots.iter().enumerate() {
-            let mut w = StateWriter::new();
-            w.put_u32(slot.meta.location.jurisdiction);
-            w.put_u32(slot.meta.location.host);
-            w.put_str(&slot.meta.name);
-            w.put_u8(slot.meta.alive as u8);
-            w.put_varint(slot.next_seq);
-            w.put_u64(slot.seen.state_digest());
-            sections.push((format!("ep{i}"), w.finish().to_vec()));
-        }
-        sections
+        let (queue, endpoints) = inner.witness.sections(&mut self.slots, &inner.queue);
+        vec![
+            ("core".to_string(), core),
+            ("rng".to_string(), rng),
+            ("counters".to_string(), counters),
+            ("queue".to_string(), queue),
+            ("endpoints".to_string(), endpoints),
+        ]
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
@@ -768,7 +758,7 @@ impl SimKernel {
             let (at, events) = (self.inner.now.as_nanos(), self.inner.stats.events);
             self.inner.journal.on_snapshot(at, events, &sections);
         }
-        let Some(ev) = self.inner.queue.pop() else {
+        let Some(ev) = self.inner.dequeue() else {
             return false;
         };
         debug_assert!(ev.at >= self.inner.now, "time must not run backwards");
@@ -817,7 +807,9 @@ impl SimKernel {
         // already admitted is suppressed before the endpoint sees it.
         if self.inner.dedup_enabled {
             if let (EventKind::Deliver(msg), Some((sender, seq_no))) = (&ev.kind, ev.dedup) {
-                if !self.slots[idx].seen.admit(sender, seq_no) {
+                let slot = &mut self.slots[idx];
+                self.inner.witness.touch(idx, slot);
+                if !slot.seen.admit(sender, seq_no) {
                     self.inner.note_count_sym(symbol::NET_DEDUP_DROPPED, 1);
                     let jseq = self.inner.journal_note(
                         RecordKind::Dedup,
@@ -1012,7 +1004,27 @@ impl Inner {
     /// All scheduling goes through here (`tools/lint_hotpath.sh` holds
     /// future code to it).
     fn enqueue(&mut self, ev: Event) {
-        self.queue.push(ev.at.as_nanos(), ev.seq, ev);
+        let queued = self.queue.push(ev.at.as_nanos(), ev.seq, ev);
+        if self.witness.is_on() {
+            self.witness.enqueued(queued);
+        }
+    }
+
+    /// The single egress from the event wheel, the counterpart of
+    /// [`Inner::enqueue`]: together they keep the snapshot witness's
+    /// queue digest exact (`tools/lint_hotpath.sh` holds both single).
+    ///
+    /// Both funnels digest events where the wheel stores them (`push`
+    /// hands back the stored value, `peek` shows the next one), never a
+    /// stack copy: borrowing the event in transit would cost every
+    /// event an extra copy, witness on or off.
+    fn dequeue(&mut self) -> Option<Event> {
+        if self.witness.is_on() {
+            if let Some(next) = self.queue.peek() {
+                self.witness.dequeued(next);
+            }
+        }
+        self.queue.pop()
     }
 
     fn bump_seq(&mut self) -> u64 {
@@ -1136,66 +1148,6 @@ fn record_kind(kind: FlightKind) -> RecordKind {
     }
 }
 
-/// Deterministically encode a queued message for a state snapshot, using
-/// the OPR codec's primitives. Method names and errors are encoded as
-/// strings so the bytes are stable across processes.
-fn encode_message(w: &mut StateWriter, m: &Message) {
-    w.put_varint(m.id.0);
-    match &m.target {
-        Some(l) => {
-            w.put_u8(1);
-            w.put_loid(l);
-        }
-        None => w.put_u8(0),
-    }
-    match &m.reply_to {
-        Some(e) => {
-            w.put_u8(1);
-            w.put_element(e);
-        }
-        None => w.put_u8(0),
-    }
-    match &m.sender {
-        Some(l) => {
-            w.put_u8(1);
-            w.put_loid(l);
-        }
-        None => w.put_u8(0),
-    }
-    w.put_loid(&m.env.responsible);
-    w.put_loid(&m.env.security);
-    w.put_loid(&m.env.calling);
-    w.put_u64(m.env.trace.trace.0);
-    w.put_u64(m.env.trace.span.0);
-    match &m.body {
-        Body::Call { method, args } => {
-            w.put_u8(0);
-            w.put_str(method.as_str());
-            w.put_varint(args.len() as u64);
-            for a in args {
-                w.put_value(a);
-            }
-        }
-        Body::Reply {
-            in_reply_to,
-            result,
-        } => {
-            w.put_u8(1);
-            w.put_varint(in_reply_to.0);
-            match result {
-                Ok(v) => {
-                    w.put_u8(0);
-                    w.put_value(v);
-                }
-                Err(e) => {
-                    w.put_u8(1);
-                    w.put_str(e);
-                }
-            }
-        }
-    }
-}
-
 /// The per-message-kind metrics key: the method symbol for calls,
 /// [`symbol::REPLY`] for replies. A `Copy` of a `u32` — zero label work
 /// per delivery, whether or not metrics consumers exist.
@@ -1277,6 +1229,7 @@ fn send_one(
     // window will check (kernel-level; endpoints never see it).
     let seq_no = match from_slot {
         Some(i) => {
+            inner.witness.touch(i, &mut slots[i]);
             let s = slots[i].next_seq;
             slots[i].next_seq += 1;
             s
@@ -1761,6 +1714,8 @@ impl Ctx<'_> {
             },
             ep,
         ));
+        let slot = self.slots.last_mut().expect("just pushed");
+        self.inner.witness.touch(id.0 as usize, slot);
         self.spawned.push(id);
         id
     }
@@ -1769,6 +1724,7 @@ impl Ctx<'_> {
     /// current handler finishes, then the endpoint is dropped.
     pub fn kill(&mut self, id: EndpointId) {
         if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            self.inner.witness.touch(id.0 as usize, slot);
             slot.meta.alive = false;
             if id != self.self_id {
                 slot.ep = None;
@@ -1984,6 +1940,13 @@ mod tests {
     fn journaled_run(cfg: impl FnOnce(&mut SimKernel), calls: u64, arg0: u64) -> SimKernel {
         let mut k = kernel();
         cfg(&mut k);
+        load_pings(&mut k, calls, arg0);
+        k.run_until_quiescent(1_000);
+        k
+    }
+
+    /// Attach the echo and its client and inject the Pings, unrun.
+    fn load_pings(k: &mut SimKernel, calls: u64, arg0: u64) {
         let echo = k.add_endpoint(
             Box::new(Echo::new(Loid::instance(16, 1))),
             Location::new(0, 0),
@@ -2003,8 +1966,84 @@ mod tests {
             msg.reply_to = Some(client.element());
             k.inject(Location::new(0, 1), echo.element(), msg);
         }
-        k.run_until_quiescent(1_000);
-        k
+    }
+
+    /// A journal opened mid-run, with events queued, slots attached and
+    /// dedup windows filled, seeds the snapshot witness from that state:
+    /// its sections match those of a kernel journaled from the start.
+    #[test]
+    fn late_journal_enable_seeds_the_witness() {
+        use legion_journal::MemSink;
+        let mut early = kernel();
+        early.enable_journal_record(Box::new(MemSink::new()), 3);
+        load_pings(&mut early, 8, 0);
+        let mut late = kernel();
+        load_pings(&mut late, 8, 0);
+        for _ in 0..5 {
+            assert!(early.step() && late.step());
+        }
+        assert!(late.queue_len() > 0, "events must be pending at enable");
+        late.enable_journal_record(Box::new(MemSink::new()), 3);
+        assert_eq!(early.state_sections(), late.state_sections());
+        while early.step() {
+            assert!(late.step());
+            assert_eq!(early.state_sections(), late.state_sections());
+        }
+        assert!(!late.step());
+        assert!(late.finish_journal().unwrap().0.snapshots > 0);
+    }
+
+    /// Each witnessed mutation site (sequence stamp, dedup admit, kill,
+    /// remove, spawn, attach) moves the `endpoints` section, and an event
+    /// that mutates no witnessed slot state leaves it alone.
+    #[test]
+    fn witnessed_mutations_move_the_endpoint_section() {
+        use legion_journal::MemSink;
+        fn endpoints(k: &mut SimKernel) -> Vec<u8> {
+            let (name, bytes) = k.state_sections().pop().expect("five sections");
+            assert_eq!(name, "endpoints");
+            bytes
+        }
+        struct Silent;
+        impl Endpoint for Silent {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        }
+        let mut k = kernel();
+        let eps: Vec<EndpointId> = (0..2)
+            .map(|i| k.add_endpoint(Box::new(Silent), Location::new(0, i), format!("silent{i}")))
+            .collect();
+        let addr = ObjectAddress::replicated(
+            eps.iter().map(|e| e.element()).collect(),
+            AddressSemantics::SendToAll,
+        );
+        k.add_endpoint(Box::new(Fanout { addr }), Location::new(0, 2), "fanout");
+        k.enable_journal_record(Box::new(MemSink::new()), 1_000);
+        let mut last = endpoints(&mut k);
+        let mut expect_move = |k: &mut SimKernel, moved: bool, what: &str| {
+            let now = endpoints(k);
+            assert_eq!(now != last, moved, "{what}");
+            last = now;
+        };
+        // Start events for the two receivers touch no witnessed state.
+        assert!(k.step() && k.step());
+        expect_move(&mut k, false, "receiver starts");
+        // The fanout's start stamps two sends (it never receives).
+        assert!(k.step());
+        expect_move(&mut k, true, "sequence stamps");
+        assert!(k.step());
+        expect_move(&mut k, true, "dedup admit");
+        k.remove_endpoint(eps[1]);
+        expect_move(&mut k, true, "remove_endpoint");
+        k.add_endpoint(Box::new(SelfKiller), Location::new(0, 3), "killer");
+        expect_move(&mut k, true, "attach");
+        assert!(k.step()); // the removed receiver's delivery: a dead letter
+        expect_move(&mut k, false, "dead letter");
+        assert!(k.step());
+        expect_move(&mut k, true, "Ctx::kill");
+        k.add_endpoint(Box::new(Spawner), Location::new(0, 4), "spawner");
+        expect_move(&mut k, true, "attach");
+        assert!(k.step());
+        expect_move(&mut k, true, "Ctx::spawn");
     }
 
     #[test]

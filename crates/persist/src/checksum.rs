@@ -5,6 +5,11 @@
 //! detect truncation or corruption before attempting activation.
 //! Implemented locally (table-driven, reflected polynomial `0xEDB88320`)
 //! to keep the dependency set to the approved list.
+//!
+//! [`mix64`] and [`digest64`] are the 64-bit digests behind the kernel's
+//! snapshot witnesses: a strong bijective mix of one word, and a
+//! word-at-a-time digest of a byte string. They detect divergence, not
+//! tampering; content addressing uses SHA-256 ([`crate::cas`]).
 
 /// The reflected CRC-32 polynomial (IEEE).
 const POLY: u32 = 0xEDB8_8320;
@@ -76,9 +81,49 @@ impl Crc32 {
     }
 }
 
+/// A bijective avalanche mix of one 64-bit word (the SplitMix64
+/// finalizer behind a golden-ratio offset, so `mix64(0) != 0`). Sums of
+/// `mix64` terms make order-independent multiset digests.
+#[inline]
+pub fn mix64(v: u64) -> u64 {
+    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A 64-bit digest of `data`, eight bytes at a time. The length is mixed
+/// in first, so zero padding of the last word is unambiguous.
+pub fn digest64(data: &[u8]) -> u64 {
+    let mut h = mix64(data.len() as u64);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(w);
+        h = mix64(h.rotate_left(23) ^ u64::from_le_bytes(le));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut le = [0u8; 8];
+        le[..tail.len()].copy_from_slice(tail);
+        h = mix64(h.rotate_left(23) ^ u64::from_le_bytes(le));
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest64_separates_length_content_and_order() {
+        assert_ne!(digest64(b""), digest64(&[0]));
+        assert_ne!(digest64(&[0; 8]), digest64(&[0; 9]));
+        assert_ne!(digest64(b"abcdefgh12345678"), digest64(b"12345678abcdefgh"));
+        assert_ne!(digest64(b"legion"), digest64(b"legioN"));
+        assert_eq!(digest64(b"legion"), digest64(b"legion"));
+        assert_ne!(mix64(0), 0);
+    }
 
     #[test]
     fn known_vectors() {

@@ -6,7 +6,7 @@
 //! self-describing per field (tag byte + body), little-endian, with LEB128
 //! varints for lengths.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use legion_core::address::{
     AddressKind, AddressSemantics, ObjectAddress, ObjectAddressElement, ADDRESS_INFO_BYTES,
 };
@@ -54,10 +54,10 @@ pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
 // ----- writer ------------------------------------------------------------
 
-/// Append-only encoder over a `BytesMut`.
+/// Append-only encoder over a byte vector.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -68,7 +68,18 @@ impl Writer {
 
     /// Finish, returning the encoded bytes.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
+    }
+
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the encoded bytes but keep the capacity, so one writer can
+    /// encode many values without allocating per value.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Current encoded length.

@@ -8,7 +8,8 @@
 //! Jurisdiction").
 //!
 //! * [`codec`] — the byte format for values, addresses and bindings;
-//! * [`checksum`] — CRC-32 (local implementation);
+//! * [`checksum`] — CRC-32 and the 64-bit snapshot-witness digests
+//!   (local implementations);
 //! * [`cas`] — SHA-256 content-addressed chunk stores (the snapshot and
 //!   incremental-checkpoint backend);
 //! * [`opr`] — the OPR container (magic, version, LOID, class, interface
@@ -26,7 +27,7 @@ pub mod opr;
 pub mod storage;
 
 pub use cas::{sha256, BlobStore, ChunkId, DirBlobStore, MemBlobStore, Sha256};
-pub use checksum::{crc32, Crc32};
+pub use checksum::{crc32, digest64, mix64, Crc32};
 pub use codec::{decode_value, encode_value, CodecError, CodecResult, Reader, Writer};
 pub use opr::{Opr, OprError};
 pub use storage::{JurisdictionStorage, PersistentAddress, SimDisk, StorageError};

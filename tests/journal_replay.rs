@@ -189,3 +189,35 @@ fn corrupt_journals_fail_typed() {
         Err(JournalError::BadChecksum { .. })
     ));
 }
+
+/// A journal in the previous format (v1, whose snapshot marks hold roots
+/// over per-endpoint sections) is refused with a typed `BadVersion(1)`
+/// before any record is consumed: no panic, and no bogus root divergence
+/// at the first snapshot mark.
+#[test]
+fn v1_journals_are_refused_with_bad_version() {
+    let (_, journal) = record_run();
+    assert_eq!(read_header(&journal).expect("v2 header").version, 2);
+    let mut v1 = journal;
+    v1[4] = 1;
+    assert_eq!(read_header(&v1).unwrap_err(), JournalError::BadVersion(1));
+
+    let mut kernel = legion::net::SimKernel::with_seed(SEED);
+    let err = kernel
+        .enable_journal_verify(v1.clone(), ReplayStart::Origin)
+        .expect_err("v1 journal must not open for verification");
+    assert_eq!(err, JournalError::BadVersion(1));
+    assert!(!kernel.journal_enabled());
+    assert!(kernel.journal_divergence().is_none());
+
+    let err = generate_with_journal(
+        J,
+        SEED,
+        ReportJournal::Verify {
+            journal: v1,
+            start: ReplayStart::LatestSnapshot,
+        },
+    )
+    .expect_err("v1 journal must not replay");
+    assert_eq!(err, JournalError::BadVersion(1));
+}

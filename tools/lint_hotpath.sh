@@ -13,6 +13,11 @@
 #     crates/net/src/sim.rs (`Inner::enqueue`), which stamps the
 #     deterministic (time, seq) key. Any other direct push would bypass
 #     the sequence stamping that the replay/journal layer depends on.
+#   * `queue.pop(` appears outside equeue.rs in more than the one
+#     blessed call site: the kernel's single dequeue funnel in
+#     crates/net/src/sim.rs (`Inner::dequeue`). The snapshot witness's
+#     queue digest adds at the enqueue funnel and subtracts at the
+#     dequeue funnel; a second pop site would let it drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,19 +35,26 @@ if [[ -n "$heap_hits" ]]; then
     exit 1
 fi
 
-push_hits=$(grep -rn 'queue\.push(' crates/ --include='*.rs' \
-    | grep -v "^$wheel:" || true)
-push_count=$(printf '%s' "$push_hits" | grep -c . || true)
+# The single call site of `queue.<op>(` outside the wheel, or exit 1.
+single_site() {
+    local op="$1" funnel="$2" why="$3" hits count
+    hits=$(grep -rn "queue\.$op(" crates/ --include='*.rs' \
+        | grep -v "^$wheel:" || true)
+    count=$(printf '%s' "$hits" | grep -c . || true)
+    if [[ "$count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$hits"; then
+        echo "error: expected exactly one queue.$op call site outside the wheel" >&2
+        echo "(the $funnel funnel in crates/net/src/sim.rs); found:" >&2
+        echo "${hits:-<none>}" >&2
+        echo >&2
+        echo "$why" >&2
+        exit 1
+    fi
+}
 
-if [[ "$push_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$push_hits"; then
-    echo "error: expected exactly one queue.push call site outside the wheel" >&2
-    echo "(the enqueue funnel in crates/net/src/sim.rs); found:" >&2
-    echo "${push_hits:-<none>}" >&2
-    echo >&2
-    echo "Route all event scheduling through SimKernel's enqueue so every event" >&2
-    echo "gets its deterministic sequence stamp." >&2
-    exit 1
-fi
+single_site push enqueue "Route all event scheduling through SimKernel's enqueue so every event
+gets its deterministic sequence stamp and enters the snapshot witness."
+single_site pop dequeue "Take events off the wheel only through SimKernel's dequeue so the
+snapshot witness's queue digest stays exact."
 
 # Admission path: the per-endpoint admission queue is an O(1) integer
 # ledger (admitted-until horizon + counters), not a buffer. Overload is
