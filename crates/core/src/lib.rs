@@ -38,6 +38,7 @@ pub mod context;
 pub mod dispatch;
 pub mod env;
 pub mod error;
+pub mod event;
 pub mod fxmap;
 pub mod idl;
 pub mod inherit;
@@ -59,6 +60,7 @@ pub use class::{ClassKind, ClassObject, LogicalTable, TableEntry};
 pub use context::{Context, ContextEntry};
 pub use env::InvocationEnv;
 pub use error::{CoreError, CoreResult};
+pub use event::KernelEventKind;
 pub use interface::{Interface, MethodSignature, ParamType};
 pub use loid::{ClassId, Loid, LoidAllocator};
 pub use metaclass::LegionClassAuthority;

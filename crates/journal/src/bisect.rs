@@ -156,8 +156,8 @@ pub fn seq_at(data: &[u8], idx: usize) -> Result<Option<u64>, JournalError> {
 mod tests {
     use super::*;
     use crate::journal::JournalWriter;
-    use crate::record::RecordKind;
     use crate::sink::MemSink;
+    use legion_core::event::KernelEventKind;
 
     fn journal_of(n: u64, mutate_at: Option<u64>) -> Vec<u8> {
         let sink = MemSink::new();
@@ -168,7 +168,7 @@ mod tests {
             } else {
                 "Ping"
             };
-            w.append(i * 10, RecordKind::Deliver, i % 5, i, 0, label);
+            w.append(i * 10, KernelEventKind::Deliver, i % 5, i, 0, label);
         }
         w.finish().unwrap();
         sink.contents()

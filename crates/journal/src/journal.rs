@@ -2,9 +2,10 @@
 //! [`JournalWriter`], and the checked reader/indexer.
 
 use crate::record::{
-    decode_body, encode_body, JournalError, JournalRecord, RecordKind, MAGIC, MAX_BODY, VERSION,
+    decode_body, encode_body, JournalError, JournalRecord, MAGIC, MAX_BODY, VERSION,
 };
 use crate::sink::JournalSink;
+use legion_core::event::KernelEventKind;
 use legion_persist::checksum::crc32;
 
 /// The decoded journal header.
@@ -194,12 +195,13 @@ impl JournalWriter {
         self.error.as_ref()
     }
 
-    /// Append one record; returns its sequence number.
+    /// Append one record; returns its sequence number. Panics on a
+    /// span-only kind, which has no wire tag.
     #[allow(clippy::too_many_arguments)]
     pub fn append(
         &mut self,
         at: u64,
-        kind: RecordKind,
+        kind: KernelEventKind,
         endpoint: u64,
         a: u64,
         b: u64,
@@ -242,9 +244,9 @@ mod tests {
     fn sample_journal() -> (Vec<u8>, usize) {
         let sink = MemSink::new();
         let mut w = JournalWriter::new(Box::new(sink.clone()), 4);
-        w.append(10, RecordKind::Attach, 1, 0, 0, "magistrate");
-        w.append(20, RecordKind::Deliver, 1, 77, 0, "BindingLookup");
-        w.append(30, RecordKind::TimerFire, 2, 5, 0, "heartbeat");
+        w.append(10, KernelEventKind::Attach, 1, 0, 0, "magistrate");
+        w.append(20, KernelEventKind::Deliver, 1, 77, 0, "BindingLookup");
+        w.append(30, KernelEventKind::Timer, 2, 5, 0, "heartbeat");
         w.finish().unwrap();
         (sink.contents(), 3)
     }
@@ -256,7 +258,7 @@ mod tests {
         assert_eq!(header.version, VERSION);
         assert_eq!(header.snap_every, 4);
         assert_eq!(records.len(), n);
-        assert_eq!(records[0].kind, RecordKind::Attach);
+        assert_eq!(records[0].kind, KernelEventKind::Attach);
         assert_eq!(records[0].label, "magistrate");
         assert_eq!(records[1].a, 77);
         assert_eq!(records[2].at, 30);
@@ -341,7 +343,7 @@ mod tests {
             }
         }
         let mut w = JournalWriter::new(Box::new(FailSink), 0);
-        w.append(1, RecordKind::Note, 0, 0, 0, "x");
+        w.append(1, KernelEventKind::Note, 0, 0, 0, "x");
         assert!(w.error().is_some());
         assert!(matches!(w.finish(), Err(JournalError::Io(_))));
     }

@@ -39,7 +39,8 @@ pub mod snapshot;
 
 pub use bisect::{bisect, BisectReport};
 pub use journal::{index, read_all, read_header, JournalHeader, JournalWriter, RecordSlice};
-pub use record::{JournalError, JournalRecord, RecordKind};
+pub use legion_core::event::KernelEventKind;
+pub use record::{JournalError, JournalRecord};
 pub use replay::{Divergence, JournalSummary, KernelJournal, ReplayStart, Verifier};
 pub use sink::{FileSink, JournalSink, MemSink};
 pub use snapshot::{sections_root, state_root, SnapshotMeta, SnapshotStore};

@@ -15,6 +15,7 @@
 //! Labels are stored as **strings**, never interner ids — symbol ids
 //! depend on interning order, which is not stable across processes.
 
+use legion_core::event::KernelEventKind;
 use legion_persist::codec::{CodecError, Reader};
 use std::fmt;
 
@@ -110,104 +111,26 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// What a journal record describes: every kernel ingress or verdict that
-/// can influence the deterministic run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum RecordKind {
-    /// An endpoint attached to the kernel.
-    Attach = 0,
-    /// An endpoint detached (or was killed).
-    Detach = 1,
-    /// An endpoint's `on_start` ran.
-    Start = 2,
-    /// A message was delivered to an endpoint.
-    Deliver = 3,
-    /// A timer fired at an endpoint.
-    TimerFire = 4,
-    /// A message was injected from outside the simulation.
-    Inject = 5,
-    /// The fault plan dropped a message.
-    Drop = 6,
-    /// The fault plan duplicated a message.
-    Duplicate = 7,
-    /// The fault plan delayed a message.
-    Delay = 8,
-    /// The receiver's dedup window suppressed a duplicate.
-    Dedup = 9,
-    /// A message had no live destination.
-    DeadLetter = 10,
-    /// The topology refused a send.
-    Refuse = 11,
-    /// A tracked call timed out.
-    Timeout = 12,
-    /// The HA layer reached a verdict (suspect/dead/recovered/...).
-    HaVerdict = 13,
-    /// A snapshot mark: `a` = section count, `b` = snapshot ordinal,
-    /// label = content-addressed state root (hex).
-    Snapshot = 14,
-    /// Anything else worth journaling.
-    Note = 15,
-    /// Admission control shed a call at an overloaded endpoint.
-    /// (Appended after Note: journals written before this tag existed
-    /// never contain it, and `from_tag` rejects it when replaying *into*
-    /// an older build — append-compatible in the forward direction.)
-    Shed = 16,
+/// The frozen wire tags: a journaled kind's tag is its index here.
+/// Append only, never reorder — an older build rejects a newer tag as
+/// [`JournalError::BadKind`]. Span-only kinds have no tag.
+const TAGS: [KernelEventKind; 17] = {
+    use KernelEventKind::*;
+    [
+        Attach, Detach, Start, Deliver, Timer, Inject, Drop, Duplicate, Delay, Dedup, DeadLetter,
+        Refuse, Timeout, HaVerdict, Snapshot, Note, Shed,
+    ]
+};
+
+/// The wire tag of a journaled kind (`None` for span-only kinds, which
+/// the routing table keeps out of the journal).
+pub fn tag(kind: KernelEventKind) -> Option<u8> {
+    TAGS.iter().position(|&k| k == kind).map(|t| t as u8)
 }
 
-impl RecordKind {
-    /// The wire tag.
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// Decode a wire tag.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        use RecordKind::*;
-        Some(match tag {
-            0 => Attach,
-            1 => Detach,
-            2 => Start,
-            3 => Deliver,
-            4 => TimerFire,
-            5 => Inject,
-            6 => Drop,
-            7 => Duplicate,
-            8 => Delay,
-            9 => Dedup,
-            10 => DeadLetter,
-            11 => Refuse,
-            12 => Timeout,
-            13 => HaVerdict,
-            14 => Snapshot,
-            15 => Note,
-            16 => Shed,
-            _ => return None,
-        })
-    }
-
-    /// Fixed-width label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecordKind::Attach => "attach",
-            RecordKind::Detach => "detach",
-            RecordKind::Start => "start",
-            RecordKind::Deliver => "deliver",
-            RecordKind::TimerFire => "timer-fire",
-            RecordKind::Inject => "inject",
-            RecordKind::Drop => "drop",
-            RecordKind::Duplicate => "duplicate",
-            RecordKind::Delay => "delay",
-            RecordKind::Dedup => "dedup",
-            RecordKind::DeadLetter => "dead-letter",
-            RecordKind::Refuse => "refuse",
-            RecordKind::Timeout => "timeout",
-            RecordKind::HaVerdict => "ha-verdict",
-            RecordKind::Snapshot => "snapshot",
-            RecordKind::Note => "note",
-            RecordKind::Shed => "shed",
-        }
-    }
+/// Decode a wire tag.
+pub fn from_tag(tag: u8) -> Option<KernelEventKind> {
+    TAGS.get(tag as usize).copied()
 }
 
 /// One decoded journal record.
@@ -218,7 +141,7 @@ pub struct JournalRecord {
     /// Virtual time of the event, in nanoseconds.
     pub at: u64,
     /// What happened.
-    pub kind: RecordKind,
+    pub kind: KernelEventKind,
     /// The kernel endpoint id involved (0 when none).
     pub endpoint: u64,
     /// Kind-specific detail (e.g. message id, timer token).
@@ -265,7 +188,7 @@ pub(crate) fn encode_body(
     buf: &mut Vec<u8>,
     seq: u64,
     at: u64,
-    kind: RecordKind,
+    kind: KernelEventKind,
     endpoint: u64,
     a: u64,
     b: u64,
@@ -274,7 +197,7 @@ pub(crate) fn encode_body(
     buf.clear();
     push_varint(buf, seq);
     push_varint(buf, at);
-    buf.push(kind.tag());
+    buf.push(tag(kind).expect("span-only kinds are never journaled"));
     push_varint(buf, endpoint);
     push_varint(buf, a);
     push_varint(buf, b);
@@ -290,7 +213,7 @@ pub fn decode_body(body: &[u8], offset: usize) -> Result<JournalRecord, JournalE
     let seq = r.get_varint().map_err(bad)?;
     let at = r.get_varint().map_err(bad)?;
     let tag = r.get_u8().map_err(bad)?;
-    let kind = RecordKind::from_tag(tag).ok_or(JournalError::BadKind { offset, tag })?;
+    let kind = from_tag(tag).ok_or(JournalError::BadKind { offset, tag })?;
     let endpoint = r.get_varint().map_err(bad)?;
     let a = r.get_varint().map_err(bad)?;
     let b = r.get_varint().map_err(bad)?;
@@ -324,7 +247,7 @@ mod tests {
             &mut buf,
             42,
             1_000_000,
-            RecordKind::Deliver,
+            KernelEventKind::Deliver,
             7,
             99,
             3,
@@ -333,7 +256,7 @@ mod tests {
         let rec = decode_body(&buf, 0).unwrap();
         assert_eq!(rec.seq, 42);
         assert_eq!(rec.at, 1_000_000);
-        assert_eq!(rec.kind, RecordKind::Deliver);
+        assert_eq!(rec.kind, KernelEventKind::Deliver);
         assert_eq!(rec.endpoint, 7);
         assert_eq!(rec.a, 99);
         assert_eq!(rec.b, 3);
@@ -341,20 +264,58 @@ mod tests {
         assert_eq!(decode_seq(&buf), Some(42));
     }
 
+    /// The on-disk tags are frozen: this literal table is the format,
+    /// so reordering or inserting into the unified kind enum fails here.
     #[test]
-    fn every_kind_tags_roundtrip() {
-        for tag in 0..=16u8 {
-            let kind = RecordKind::from_tag(tag).unwrap();
-            assert_eq!(kind.tag(), tag);
-            assert!(!kind.label().is_empty());
+    fn wire_tags_are_frozen() {
+        use KernelEventKind::*;
+        let frozen = [
+            (0, Attach),
+            (1, Detach),
+            (2, Start),
+            (3, Deliver),
+            (4, Timer),
+            (5, Inject),
+            (6, Drop),
+            (7, Duplicate),
+            (8, Delay),
+            (9, Dedup),
+            (10, DeadLetter),
+            (11, Refuse),
+            (12, Timeout),
+            (13, HaVerdict),
+            (14, Snapshot),
+            (15, Note),
+            (16, Shed),
+        ];
+        let mut buf = Vec::new();
+        for (t, kind) in frozen {
+            assert_eq!(tag(kind), Some(t), "{kind:?}");
+            assert_eq!(from_tag(t), Some(kind), "tag {t}");
+            encode_body(&mut buf, 1, 2, kind, 3, 4, 5, "x");
+            assert_eq!(buf[2], t, "{kind:?} on the wire");
+            assert_eq!(decode_body(&buf, 0).unwrap().kind, kind);
         }
-        assert_eq!(RecordKind::from_tag(17), None);
+        for t in 17..=u8::MAX {
+            buf[2] = t;
+            assert_eq!(
+                decode_body(&buf, 9),
+                Err(JournalError::BadKind { offset: 9, tag: t })
+            );
+        }
+        for kind in [Begin, End, Send] {
+            assert_eq!(tag(kind), None, "{kind:?} is span-only");
+        }
+        // The routing table and the tag table agree on what is journaled.
+        for kind in KernelEventKind::ALL {
+            assert_eq!(tag(kind).is_some(), kind.route().journal, "{kind:?}");
+        }
     }
 
     #[test]
     fn bad_tag_is_typed() {
         let mut buf = Vec::new();
-        encode_body(&mut buf, 0, 0, RecordKind::Note, 0, 0, 0, "x");
+        encode_body(&mut buf, 0, 0, KernelEventKind::Note, 0, 0, 0, "x");
         // The kind tag sits after the two leading varints (both 1 byte).
         buf[2] = 0xEE;
         assert!(matches!(
@@ -369,7 +330,7 @@ mod tests {
     #[test]
     fn truncated_body_is_typed() {
         let mut buf = Vec::new();
-        encode_body(&mut buf, 1, 2, RecordKind::Start, 3, 4, 5, "hello");
+        encode_body(&mut buf, 1, 2, KernelEventKind::Start, 3, 4, 5, "hello");
         for cut in 0..buf.len() {
             match decode_body(&buf[..cut], 0) {
                 Err(JournalError::BadBody { .. }) | Err(JournalError::BadKind { .. }) => {}
@@ -383,7 +344,7 @@ mod tests {
         let rec = JournalRecord {
             seq: 9,
             at: 500,
-            kind: RecordKind::Snapshot,
+            kind: KernelEventKind::Snapshot,
             endpoint: 0,
             a: 6,
             b: 1,

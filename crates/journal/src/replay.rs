@@ -18,9 +18,10 @@
 //! flight-recorder-style context window around the divergent record.
 
 use crate::journal::{index, render_context, JournalHeader, JournalWriter, RecordSlice};
-use crate::record::{decode_body, decode_seq, encode_body, JournalError, RecordKind};
+use crate::record::{decode_body, decode_seq, encode_body, JournalError};
 use crate::sink::JournalSink;
 use crate::snapshot::{state_root, SnapshotStore};
+use legion_core::event::KernelEventKind;
 
 /// Where verification starts within the reference journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +103,7 @@ impl Verifier {
         let snapshot_at = |cutoff: Option<u64>| -> Result<usize, JournalError> {
             for (i, s) in slices.iter().enumerate().rev() {
                 let rec = decode_body(s.body(&data), s.offset)?;
-                if rec.kind == RecordKind::Snapshot && cutoff.is_none_or(|t| rec.at <= t) {
+                if rec.kind == KernelEventKind::Snapshot && cutoff.is_none_or(|t| rec.at <= t) {
                     return Ok(i);
                 }
             }
@@ -165,7 +166,7 @@ impl Verifier {
     pub fn check(
         &mut self,
         at: u64,
-        kind: RecordKind,
+        kind: KernelEventKind,
         endpoint: u64,
         a: u64,
         b: u64,
@@ -217,16 +218,23 @@ impl Verifier {
             return idx as u64;
         }
         let in_skip = idx < self.verify_from;
-        let seq = self.check(at, RecordKind::Snapshot, 0, sections, ordinal, root_hex);
+        let seq = self.check(
+            at,
+            KernelEventKind::Snapshot,
+            0,
+            sections,
+            ordinal,
+            root_hex,
+        );
         if in_skip && self.divergence.is_none() {
             // `check` only compared seq alignment; compare the root too.
             if let Some(slice) = self.slices.get(idx) {
                 if let Ok(rec) = decode_body(slice.body(&self.data), slice.offset) {
-                    if rec.kind != RecordKind::Snapshot || rec.label != root_hex {
+                    if rec.kind != KernelEventKind::Snapshot || rec.label != root_hex {
                         let got = render_event(
                             seq,
                             at,
-                            RecordKind::Snapshot,
+                            KernelEventKind::Snapshot,
                             0,
                             sections,
                             ordinal,
@@ -270,7 +278,7 @@ impl Verifier {
 fn render_event(
     seq: u64,
     at: u64,
-    kind: RecordKind,
+    kind: KernelEventKind,
     endpoint: u64,
     a: u64,
     b: u64,
@@ -351,7 +359,7 @@ impl KernelJournal {
     pub fn note(
         &mut self,
         at: u64,
-        kind: RecordKind,
+        kind: KernelEventKind,
         endpoint: u64,
         a: u64,
         b: u64,
@@ -409,7 +417,7 @@ impl KernelJournal {
                 let meta = snapshots.take(at, seq, sections);
                 let root_hex = meta.root.to_hex();
                 let (count, ordinal) = (meta.sections.len() as u64, meta.ordinal);
-                writer.append(at, RecordKind::Snapshot, 0, count, ordinal, &root_hex);
+                writer.append(at, KernelEventKind::Snapshot, 0, count, ordinal, &root_hex);
             }
             KernelJournal::Verify {
                 verifier,
@@ -502,7 +510,7 @@ mod tests {
 
     /// Drive a toy "kernel": a fixed script of events with snapshots on
     /// the facade's cadence, state = running digest of events seen.
-    fn drive(journal: &mut KernelJournal, script: &[(u64, RecordKind, u64, &str)]) {
+    fn drive(journal: &mut KernelJournal, script: &[(u64, KernelEventKind, u64, &str)]) {
         let mut state: u64 = 0;
         for (i, (at, kind, a, label)) in script.iter().enumerate() {
             let events = i as u64;
@@ -518,15 +526,15 @@ mod tests {
         }
     }
 
-    fn script() -> Vec<(u64, RecordKind, u64, &'static str)> {
+    fn script() -> Vec<(u64, KernelEventKind, u64, &'static str)> {
         (0..10u64)
             .map(|i| {
                 (
                     100 * (i + 1),
                     if i % 3 == 0 {
-                        RecordKind::TimerFire
+                        KernelEventKind::Timer
                     } else {
-                        RecordKind::Deliver
+                        KernelEventKind::Deliver
                     },
                     i * 7,
                     if i % 2 == 0 { "Ping" } else { "Pong" },
@@ -614,7 +622,7 @@ mod tests {
         let data = record_script();
         let mut journal = KernelJournal::verify(data, ReplayStart::Origin).unwrap();
         let mut long = script();
-        long.push((2000, RecordKind::Deliver, 1, "Extra"));
+        long.push((2000, KernelEventKind::Deliver, 1, "Extra"));
         drive(&mut journal, &long);
         let (_, div) = journal.finish().unwrap();
         let div = div.expect("extra event must diverge");
@@ -626,7 +634,7 @@ mod tests {
     fn off_is_inert() {
         let mut journal = KernelJournal::default();
         assert!(!journal.is_on());
-        assert_eq!(journal.note(1, RecordKind::Deliver, 1, 2, 3, "x"), 0);
+        assert_eq!(journal.note(1, KernelEventKind::Deliver, 1, 2, 3, "x"), 0);
         assert!(!journal.snapshot_due(100));
         assert!(journal.divergence().is_none());
         let (summary, div) = journal.finish().unwrap();

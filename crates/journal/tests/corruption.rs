@@ -3,7 +3,7 @@
 //! typed [`JournalError`] (mirroring the OPR codec proptests in
 //! `legion-persist`).
 
-use legion_journal::record::RecordKind;
+use legion_journal::record;
 use legion_journal::{bisect, read_all, JournalError, JournalWriter, MemSink};
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ fn journal_of(records: &[(u64, u8, u64, u64, u64, String)], snap_every: u64) -> 
     let sink = MemSink::new();
     let mut w = JournalWriter::new(Box::new(sink.clone()), snap_every);
     for (at, tag, ep, a, b, label) in records {
-        w.append(*at, RecordKind::from_tag(*tag).unwrap(), *ep, *a, *b, label);
+        w.append(*at, record::from_tag(*tag).unwrap(), *ep, *a, *b, label);
     }
     w.finish().unwrap();
     sink.contents()
@@ -45,7 +45,7 @@ proptest! {
         {
             prop_assert_eq!(rec.seq, i as u64);
             prop_assert_eq!(rec.at, *at);
-            prop_assert_eq!(rec.kind.tag(), *tag);
+            prop_assert_eq!(record::tag(rec.kind), Some(*tag));
             prop_assert_eq!(rec.endpoint, *ep);
             prop_assert_eq!(rec.a, *a);
             prop_assert_eq!(rec.b, *b);

@@ -25,11 +25,12 @@
 //! [`serve`] plus a continuation take for replies.
 
 use crate::message::{Body, CallId, Message};
-use crate::sim::{Ctx, FlightKind};
+use crate::sim::Ctx;
 use legion_core::dispatch::{
     self as model, FromArg, FromArgs, InvocationGate, MethodTable as ModelTable, Verdict,
 };
 use legion_core::error::CoreError;
+use legion_core::event::KernelEventKind;
 use legion_core::idl;
 use legion_core::interface::{Interface, MethodSignature, ParamType};
 use legion_core::loid::Loid;
@@ -168,7 +169,7 @@ pub fn sweep_expired<E>(
         ctx.count_n_sym(symbol::NET_TIMEOUT_EXPIRED, n as u64);
     }
     for (id, k) in due {
-        ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
+        ctx.flight(KernelEventKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
         k(endpoint, ctx, Err(timeout_error(after_ns)));
     }
     if n > 0 && ctx.flight_dump_on_sweep() {

@@ -27,20 +27,22 @@ use crate::topology::{Location, Topology};
 use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
+use legion_core::event::KernelEventKind;
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceContext};
 use legion_core::value::LegionValue;
 use legion_journal::{
-    Divergence, JournalError, JournalSink, JournalSummary, KernelJournal, RecordKind, ReplayStart,
+    Divergence, JournalError, JournalSink, JournalSummary, KernelJournal, ReplayStart,
     SnapshotStore,
 };
 use legion_obs::profile::{KernelProfiler, Profile};
 use legion_obs::sink::TraceSink;
 use legion_obs::slo::{BurnEvent, SloConfig, SloReport, SloTracker};
-use legion_obs::span::{SpanEvent, SpanEventKind};
+use legion_obs::span::SpanEvent;
 use legion_persist::Writer as StateWriter;
+use observe::Observation;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -50,11 +52,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use witness::Witness;
 
+mod observe;
 mod witness;
 
-// Re-exported so endpoint crates can record flight events through
-// [`Ctx::flight`] without depending on `legion-obs` directly.
-pub use legion_obs::recorder::{FlightEvent, FlightKind, FlightRecorder};
+pub use legion_obs::recorder::{FlightEvent, FlightRecorder};
+
+/// The flight recorder's former kind name, kept for callers outside this
+/// workspace (the benchmark harness); in-tree code names
+/// [`KernelEventKind`].
+pub use legion_core::event::KernelEventKind as FlightKind;
 
 /// Identifies an endpoint attached to the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -298,46 +304,18 @@ impl SimKernel {
         location: Location,
         name: impl Into<String>,
     ) -> EndpointId {
-        let id = EndpointId(self.slots.len() as u64);
-        let name = name.into();
+        let id = self
+            .inner
+            .attach(&mut self.slots, ep, location, name.into());
         self.inner
-            .journal_note_str(RecordKind::Attach, id.0, 0, 0, &name);
-        self.slots.push(Slot::new(
-            EndpointMeta {
-                location,
-                name,
-                received: 0,
-                sent: 0,
-                in_latency: Histogram::new(),
-                alive: true,
-            },
-            ep,
-        ));
-        let slot = self.slots.last_mut().expect("just pushed");
-        self.inner.witness.touch(id.0 as usize, slot);
-        let seq = self.inner.bump_seq();
-        self.inner.enqueue(Event {
-            at: self.inner.now,
-            seq,
-            to: id,
-            trace: TraceContext::NONE,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Start,
-        });
+            .schedule(self.inner.now, id, TraceContext::NONE, EventKind::Start);
         id
     }
 
     /// Remove (kill) an endpoint. Future sends to it are refused; queued
     /// deliveries become dead letters.
     pub fn remove_endpoint(&mut self, id: EndpointId) {
-        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            self.inner.witness.touch(id.0 as usize, slot);
-            slot.meta.alive = false;
-            slot.ep = None;
-            self.inner
-                .journal_note_str(RecordKind::Detach, id.0, 0, 0, "");
-        }
+        self.inner.detach(&mut self.slots, id, false);
     }
 
     /// Current virtual time.
@@ -418,18 +396,13 @@ impl SimKernel {
 
     /// Close a root span opened with [`SimKernel::begin_trace`].
     pub fn end_trace(&mut self, tc: TraceContext, outcome: &str) {
-        if tc.is_active() {
-            let at = self.inner.now;
-            self.inner.sink.record(SpanEvent {
-                trace: tc.trace,
-                span: tc.span,
-                parent: SpanId::NONE,
-                kind: SpanEventKind::End,
-                at,
-                endpoint: SpanEvent::EXTERNAL,
-                label: outcome.to_owned(),
-            });
-        }
+        self.inner.observe(Observation::span(
+            KernelEventKind::End,
+            SpanEvent::EXTERNAL,
+            tc,
+            SpanId::NONE,
+            format_args!("{outcome}"),
+        ));
     }
 
     /// Start bucketing named counters into windows of `window_ns`.
@@ -586,13 +559,13 @@ impl SimKernel {
         msg: Message,
     ) -> bool {
         let inner = &mut self.inner;
-        inner.journal_note(
-            RecordKind::Inject,
+        inner.observe(Observation::fact(
+            KernelEventKind::Inject,
             to.sim_endpoint().unwrap_or(u64::MAX),
             msg.id.0,
             0,
             kind_sym(&msg),
-        );
+        ));
         send_one(inner, &mut self.slots, from_location, None, to, msg)
     }
 
@@ -615,16 +588,8 @@ impl SimKernel {
             return false;
         }
         let at = self.inner.now.saturating_add(delay_ns);
-        let seq = self.inner.bump_seq();
-        self.inner.enqueue(Event {
-            at,
-            seq,
-            to,
-            trace: TraceContext::NONE,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Timer(tag),
-        });
+        self.inner
+            .schedule(at, to, TraceContext::NONE, EventKind::Timer(tag));
         true
     }
 
@@ -773,33 +738,11 @@ impl SimKernel {
         if !alive {
             if let EventKind::Deliver(msg) = &ev.kind {
                 self.inner.stats.dead_letters += 1;
-                let jseq = self.inner.journal_note(
-                    RecordKind::DeadLetter,
-                    idx as u64,
-                    msg.id.0,
-                    0,
-                    kind_sym(msg),
+                let label = kind_sym(msg);
+                self.inner.observe(
+                    Observation::fact(KernelEventKind::DeadLetter, idx as u64, msg.id.0, 0, label)
+                        .traced(ev.trace, format_args!("dead_letter:{label}")),
                 );
-                self.inner.flight.record(FlightEvent {
-                    at: self.inner.now,
-                    kind: FlightKind::DeadLetter,
-                    endpoint: idx as u64,
-                    label: kind_sym(msg),
-                    detail: msg.id.0,
-                    seq: jseq,
-                });
-                // Recorded even for untraced messages (trace/span NONE):
-                // a crash-eaten delivery must be visible in the span
-                // stream, not just the dead_letters counter.
-                if self.inner.sink.is_enabled() {
-                    self.inner.record_span(
-                        ev.trace,
-                        SpanId::NONE,
-                        SpanEventKind::DeadLetter,
-                        idx as u64,
-                        &format!("dead_letter:{}", kind_sym(msg)),
-                    );
-                }
             }
             return true;
         }
@@ -811,30 +754,11 @@ impl SimKernel {
                 self.inner.witness.touch(idx, slot);
                 if !slot.seen.admit(sender, seq_no) {
                     self.inner.note_count_sym(symbol::NET_DEDUP_DROPPED, 1);
-                    let jseq = self.inner.journal_note(
-                        RecordKind::Dedup,
-                        idx as u64,
-                        msg.id.0,
-                        0,
-                        kind_sym(msg),
+                    let label = kind_sym(msg);
+                    self.inner.observe(
+                        Observation::fact(KernelEventKind::Dedup, idx as u64, msg.id.0, 0, label)
+                            .traced(ev.trace, format_args!("dedup:{label}")),
                     );
-                    self.inner.flight.record(FlightEvent {
-                        at: self.inner.now,
-                        kind: FlightKind::Dedup,
-                        endpoint: idx as u64,
-                        label: kind_sym(msg),
-                        detail: msg.id.0,
-                        seq: jseq,
-                    });
-                    if self.inner.sink.is_enabled() {
-                        self.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Dedup,
-                            idx as u64,
-                            &format!("dedup:{}", kind_sym(msg)),
-                        );
-                    }
                     return true;
                 }
             }
@@ -852,38 +776,29 @@ impl SimKernel {
             };
             match ev.kind {
                 EventKind::Start => {
-                    ctx.inner
-                        .journal_note_str(RecordKind::Start, idx as u64, 0, 0, "");
+                    ctx.inner.observe(Observation::fact(
+                        KernelEventKind::Start,
+                        idx as u64,
+                        0,
+                        0,
+                        "",
+                    ));
                     ep.on_start(&mut ctx)
                 }
                 EventKind::Deliver(msg) => {
                     ctx.slots[idx].meta.received += 1;
                     ctx.inner.stats.delivered += 1;
                     let method = kind_sym(&msg);
-                    let jseq = ctx.inner.journal_note(
-                        RecordKind::Deliver,
-                        idx as u64,
-                        msg.id.0,
-                        ev.lat_ns,
-                        method,
-                    );
-                    ctx.inner.flight.record(FlightEvent {
-                        at: ctx.inner.now,
-                        kind: FlightKind::Deliver,
-                        endpoint: idx as u64,
-                        label: method,
-                        detail: msg.id.0,
-                        seq: jseq,
-                    });
-                    if ev.trace.is_active() && ctx.inner.sink.is_enabled() {
-                        ctx.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Deliver,
+                    ctx.inner.observe(
+                        Observation::fact(
+                            KernelEventKind::Deliver,
                             idx as u64,
-                            method.as_str(),
-                        );
-                    }
+                            msg.id.0,
+                            ev.lat_ns,
+                            method,
+                        )
+                        .traced(ev.trace, format_args!("{method}")),
+                    );
                     if ctx.inner.profile.is_enabled() {
                         // Bracket the handler with wall-clock and the
                         // process-wide allocation counters (live when a
@@ -908,17 +823,10 @@ impl SimKernel {
                     }
                 }
                 EventKind::Timer(tag) => {
-                    ctx.inner
-                        .journal_note_str(RecordKind::TimerFire, idx as u64, tag, 0, "");
-                    if ev.trace.is_active() {
-                        ctx.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Timer,
-                            idx as u64,
-                            &format!("tag={tag}"),
-                        );
-                    }
+                    ctx.inner.observe(
+                        Observation::fact(KernelEventKind::Timer, idx as u64, tag, 0, "")
+                            .traced(ev.trace, format_args!("tag={tag}")),
+                    );
                     ep.on_timer(&mut ctx, tag)
                 }
             }
@@ -927,16 +835,8 @@ impl SimKernel {
             self.inner.current = TraceContext::NONE;
             // Schedule Start events for endpoints spawned by the handler.
             for id in spawned {
-                let seq = self.inner.bump_seq();
-                self.inner.enqueue(Event {
-                    at: self.inner.now,
-                    seq,
-                    to: id,
-                    trace: TraceContext::NONE,
-                    dedup: None,
-                    lat_ns: 0,
-                    kind: EventKind::Start,
-                });
+                self.inner
+                    .schedule(self.inner.now, id, TraceContext::NONE, EventKind::Start);
             }
         }
         // The handler may have killed its own endpoint.
@@ -1033,6 +933,70 @@ impl Inner {
         s
     }
 
+    /// Queue a start or timer event for `to` at `at`.
+    fn schedule(&mut self, at: SimTime, to: EndpointId, trace: TraceContext, kind: EventKind) {
+        let seq = self.bump_seq();
+        self.enqueue(Event {
+            at,
+            seq,
+            to,
+            trace,
+            dedup: None,
+            lat_ns: 0,
+            kind,
+        });
+    }
+
+    /// Attach an endpoint in a fresh slot: journal it, push the slot and
+    /// enter it into the snapshot witness. The caller queues its `Start`
+    /// ([`SimKernel::add_endpoint`] at once, [`Ctx::spawn`] after the
+    /// spawning handler returns).
+    fn attach(
+        &mut self,
+        slots: &mut Vec<Slot>,
+        ep: Box<dyn Endpoint>,
+        location: Location,
+        name: String,
+    ) -> EndpointId {
+        let id = EndpointId(slots.len() as u64);
+        self.observe(Observation::fact(
+            KernelEventKind::Attach,
+            id.0,
+            0,
+            0,
+            name.as_str(),
+        ));
+        slots.push(Slot::new(
+            EndpointMeta {
+                location,
+                name,
+                received: 0,
+                sent: 0,
+                in_latency: Histogram::new(),
+                alive: true,
+            },
+            ep,
+        ));
+        let slot = slots.last_mut().expect("just pushed");
+        self.witness.touch(id.0 as usize, slot);
+        id
+    }
+
+    /// Detach (kill) an endpoint: future sends to it are refused and
+    /// queued deliveries become dead letters. With `running` the
+    /// endpoint is the one whose handler is executing; it is dropped
+    /// when that handler returns instead of here.
+    fn detach(&mut self, slots: &mut [Slot], id: EndpointId, running: bool) {
+        if let Some(slot) = slots.get_mut(id.0 as usize) {
+            self.witness.touch(id.0 as usize, slot);
+            slot.meta.alive = false;
+            if !running {
+                slot.ep = None;
+            }
+            self.observe(Observation::fact(KernelEventKind::Detach, id.0, 0, 0, ""));
+        }
+    }
+
     fn fresh_call_id(&mut self) -> CallId {
         let id = CallId(self.next_call);
         self.next_call += 1;
@@ -1049,62 +1013,6 @@ impl Inner {
     fn note_count_sym(&mut self, sym: Sym, n: u64) {
         self.counters.add_sym(sym, n);
         self.windows.record_sym(self.now, sym, n);
-    }
-
-    /// Record a span event at the current virtual time (no-op when the
-    /// sink is disabled).
-    fn record_span(
-        &mut self,
-        tc: TraceContext,
-        parent: SpanId,
-        kind: SpanEventKind,
-        endpoint: u64,
-        label: &str,
-    ) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        let at = self.now;
-        self.sink.record(SpanEvent {
-            trace: tc.trace,
-            span: tc.span,
-            parent,
-            kind,
-            at,
-            endpoint,
-            label: label.to_owned(),
-        });
-    }
-
-    /// Journal one kernel ingress with a pre-interned label; returns the
-    /// journal seq (0 when off). The `is_on` gate keeps the disabled hot
-    /// path at one enum-tag check and defers the `Sym → &str` resolution.
-    #[inline]
-    fn journal_note(&mut self, kind: RecordKind, endpoint: u64, a: u64, b: u64, label: Sym) -> u64 {
-        if !self.journal.is_on() {
-            return 0;
-        }
-        self.journal
-            .note(self.now.as_nanos(), kind, endpoint, a, b, label.as_str())
-    }
-
-    /// [`Inner::journal_note`] for plain-string labels (attach names,
-    /// empty labels). Labels are journaled as strings, never `Sym` ids —
-    /// intern order is process-local and would not survive replay.
-    #[inline]
-    fn journal_note_str(
-        &mut self,
-        kind: RecordKind,
-        endpoint: u64,
-        a: u64,
-        b: u64,
-        label: &str,
-    ) -> u64 {
-        if !self.journal.is_on() {
-            return 0;
-        }
-        self.journal
-            .note(self.now.as_nanos(), kind, endpoint, a, b, label)
     }
 
     /// The flight-recorder dump, annotated with the journal position and
@@ -1126,25 +1034,6 @@ impl Inner {
             ));
         }
         out
-    }
-}
-
-/// The journal record kind for a flight-recorder event kind: endpoints
-/// annotate the journal through [`Ctx::flight`] (timeouts, HA verdicts,
-/// notes) with the same vocabulary the kernel uses.
-fn record_kind(kind: FlightKind) -> RecordKind {
-    match kind {
-        FlightKind::Deliver => RecordKind::Deliver,
-        FlightKind::DeadLetter => RecordKind::DeadLetter,
-        FlightKind::Refuse => RecordKind::Refuse,
-        FlightKind::Drop => RecordKind::Drop,
-        FlightKind::Dedup => RecordKind::Dedup,
-        FlightKind::Duplicate => RecordKind::Duplicate,
-        FlightKind::Delay => RecordKind::Delay,
-        FlightKind::Timeout => RecordKind::Timeout,
-        FlightKind::HaVerdict => RecordKind::HaVerdict,
-        FlightKind::Note => RecordKind::Note,
-        FlightKind::Shed => RecordKind::Shed,
     }
 }
 
@@ -1188,29 +1077,23 @@ fn send_one(
         // sends will parent under it.
         let parent = msg.env.trace.span;
         msg.env.trace.span = inner.sink.next_span();
-        let label = kind_sym(&msg).as_str();
-        inner.record_span(msg.env.trace, parent, SpanEventKind::Send, from_ep, label);
+        let method = kind_sym(&msg);
+        inner.observe(Observation::span(
+            KernelEventKind::Send,
+            from_ep,
+            msg.env.trace,
+            parent,
+            format_args!("{method}"),
+        ));
     }
-    // Fault spans (Refuse/Drop/DeadLetter) are recorded whenever the sink
-    // is enabled, even when the message carries no trace context — crash
-    // fallout must be observable without having traced the whole flow.
+    // Fault spans (Refuse/Drop/DeadLetter, …) are recorded whenever the
+    // sink is enabled, even when the message carries no trace context —
+    // their route is `SpanRoute::Always`.
     let refuse = |inner: &mut Inner, msg: &Message, why: &str| {
         inner.stats.refused += 1;
-        let jseq = inner.journal_note(RecordKind::Refuse, from_ep, msg.id.0, 0, kind_sym(msg));
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Refuse,
-            endpoint: from_ep,
-            label: kind_sym(msg),
-            detail: msg.id.0,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Refuse,
-            from_ep,
-            why,
+        inner.observe(
+            Observation::fact(KernelEventKind::Refuse, from_ep, msg.id.0, 0, kind_sym(msg))
+                .traced(msg.env.trace, format_args!("{why}")),
         );
         false
     };
@@ -1245,21 +1128,9 @@ fn send_one(
         .judge(msg.id.0, from_location, dest_location, inner.now);
     if verdict == Verdict::DropSilently {
         inner.stats.lost += 1;
-        let jseq = inner.journal_note(RecordKind::Drop, from_ep, msg.id.0, 0, kind_sym(&msg));
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Drop,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: msg.id.0,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Drop,
-            from_ep,
-            "drop:silent",
+        inner.observe(
+            Observation::fact(KernelEventKind::Drop, from_ep, msg.id.0, 0, kind_sym(&msg))
+                .traced(msg.env.trace, format_args!("drop:silent")),
         );
         return true;
     }
@@ -1280,27 +1151,15 @@ fn send_one(
     };
     if let Verdict::Delay { extra_ns, factor } = verdict {
         inner.note_count_sym(symbol::NET_DELAYED, 1);
-        let jseq = inner.journal_note(
-            RecordKind::Delay,
-            from_ep,
-            msg.id.0,
-            extra_ns,
-            kind_sym(&msg),
-        );
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Delay,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: extra_ns,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Delay,
-            from_ep,
-            &format!("delay:x{factor}+{extra_ns}ns"),
+        inner.observe(
+            Observation::fact(
+                KernelEventKind::Delay,
+                from_ep,
+                msg.id.0,
+                extra_ns,
+                kind_sym(&msg),
+            )
+            .traced(msg.env.trace, format_args!("delay:x{factor}+{extra_ns}ns")),
         );
     }
     inner.latency.record(effective);
@@ -1318,27 +1177,15 @@ fn send_one(
     let dedup = Some((from_ep, seq_no));
     let copy = if let Some(extra_ns) = copy_after {
         inner.note_count_sym(symbol::NET_DUPLICATED, 1);
-        let jseq = inner.journal_note(
-            RecordKind::Duplicate,
-            from_ep,
-            msg.id.0,
-            extra_ns,
-            kind_sym(&msg),
-        );
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Duplicate,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: extra_ns,
-            seq: jseq,
-        });
-        inner.record_span(
-            trace,
-            SpanId::NONE,
-            SpanEventKind::Duplicate,
-            from_ep,
-            &format!("dup:+{extra_ns}ns"),
+        inner.observe(
+            Observation::fact(
+                KernelEventKind::Duplicate,
+                from_ep,
+                msg.id.0,
+                extra_ns,
+                kind_sym(&msg),
+            )
+            .traced(trace, format_args!("dup:+{extra_ns}ns")),
         );
         Some((at.saturating_add(extra_ns), msg.clone()))
     } else {
@@ -1478,16 +1325,13 @@ impl Ctx<'_> {
     /// Close the current request's trace with an outcome label and leave
     /// the handler untraced.
     pub fn trace_end(&mut self, outcome: &str) {
-        let tc = self.inner.current;
-        if tc.is_active() {
-            self.inner.record_span(
-                tc,
-                SpanId::NONE,
-                SpanEventKind::End,
-                self.self_id.0,
-                outcome,
-            );
-        }
+        self.inner.observe(Observation::span(
+            KernelEventKind::End,
+            self.self_id.0,
+            self.inner.current,
+            SpanId::NONE,
+            format_args!("{outcome}"),
+        ));
         self.inner.current = TraceContext::NONE;
     }
 
@@ -1501,11 +1345,13 @@ impl Ctx<'_> {
     /// Annotate the current trace with a protocol-level event (cache hit,
     /// activation, …). No-op outside a trace.
     pub fn trace_note(&mut self, label: &str) {
-        let tc = self.inner.current;
-        if tc.is_active() {
-            self.inner
-                .record_span(tc, SpanId::NONE, SpanEventKind::Note, self.self_id.0, label);
-        }
+        self.inner.observe(Observation::span(
+            KernelEventKind::Note,
+            self.self_id.0,
+            self.inner.current,
+            SpanId::NONE,
+            format_args!("{label}"),
+        ));
     }
 
     /// Is this handler executing under an active trace? Gate `format!`
@@ -1522,22 +1368,13 @@ impl Ctx<'_> {
         self.inner.sink.is_enabled()
     }
 
-    /// Record an event into the always-on flight recorder, attributed to
-    /// this endpoint. Allocation-free (the label is a pre-interned
-    /// [`Sym`]; `detail` is kind-specific).
-    pub fn flight(&mut self, kind: FlightKind, label: Sym, detail: u64) {
-        let jseq = self
-            .inner
-            .journal_note(record_kind(kind), self.self_id.0, detail, 0, label);
-        let at = self.inner.now;
-        self.inner.flight.record(FlightEvent {
-            at,
-            kind,
-            endpoint: self.self_id.0,
-            label,
-            detail,
-            seq: jseq,
-        });
+    /// Record an event attributed to this endpoint into the journal (as
+    /// `a = detail`) and, for flight-routed kinds (timeouts, HA
+    /// verdicts, notes, sheds), the always-on flight recorder.
+    /// Allocation-free: the label is a pre-interned [`Sym`].
+    pub fn flight(&mut self, kind: KernelEventKind, label: Sym, detail: u64) {
+        self.inner
+            .observe(Observation::fact(kind, self.self_id.0, detail, 0, label));
     }
 
     /// Should a deadline sweep that expired continuations dump the
@@ -1678,17 +1515,9 @@ impl Ctx<'_> {
     /// the same trace (retry/backoff stays attributed to its request).
     pub fn set_timer(&mut self, delay_ns: u64, tag: u64) {
         let at = self.inner.now.saturating_add(delay_ns);
-        let seq = self.inner.bump_seq();
         let trace = self.inner.current;
-        self.inner.enqueue(Event {
-            at,
-            seq,
-            to: self.self_id,
-            trace,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Timer(tag),
-        });
+        self.inner
+            .schedule(at, self.self_id, trace, EventKind::Timer(tag));
     }
 
     /// Spawn a new endpoint (activation); its `on_start` runs right after
@@ -1699,23 +1528,7 @@ impl Ctx<'_> {
         location: Location,
         name: impl Into<String>,
     ) -> EndpointId {
-        let id = EndpointId(self.slots.len() as u64);
-        let name = name.into();
-        self.inner
-            .journal_note_str(RecordKind::Attach, id.0, 0, 0, &name);
-        self.slots.push(Slot::new(
-            EndpointMeta {
-                location,
-                name,
-                received: 0,
-                sent: 0,
-                in_latency: Histogram::new(),
-                alive: true,
-            },
-            ep,
-        ));
-        let slot = self.slots.last_mut().expect("just pushed");
-        self.inner.witness.touch(id.0 as usize, slot);
+        let id = self.inner.attach(self.slots, ep, location, name.into());
         self.spawned.push(id);
         id
     }
@@ -1723,15 +1536,7 @@ impl Ctx<'_> {
     /// Kill an endpoint (deactivation). Killing `self` is allowed: the
     /// current handler finishes, then the endpoint is dropped.
     pub fn kill(&mut self, id: EndpointId) {
-        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            self.inner.witness.touch(id.0 as usize, slot);
-            slot.meta.alive = false;
-            if id != self.self_id {
-                slot.ep = None;
-            }
-            self.inner
-                .journal_note_str(RecordKind::Detach, id.0, 0, 0, "");
-        }
+        self.inner.detach(self.slots, id, id == self.self_id);
     }
 
     /// Metadata for any endpoint (alive or dead).
@@ -2147,6 +1952,90 @@ mod tests {
         assert!(k.flight().iter().all(|e| e.seq == 0));
     }
 
+    /// The three sinks report each event the same way: every flight event
+    /// is the journal record at its seq, and every fault span has a
+    /// journal record of its kind at the same time and endpoint.
+    #[test]
+    fn sinks_agree_on_every_event() {
+        use legion_journal::{read_all, MemSink};
+        struct Annotate;
+        impl Endpoint for Annotate {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.flight(KernelEventKind::HaVerdict, symbol::HA_SUSPECT, 42);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        }
+        let mut k = SimKernel::new(
+            Topology::fixed(1_000, 10_000, 1_000_000),
+            FaultPlan::seeded(11),
+            42,
+        );
+        let sink = MemSink::new();
+        k.enable_journal_record(Box::new(sink.clone()), 0);
+        k.enable_tracing(4096);
+        k.set_flight_capacity(4096);
+        k.add_endpoint(Box::new(Annotate), Location::new(0, 2), "annotate");
+        // A delivery queued to an endpoint that dies first (dead letter),
+        // then a send to the corpse (refusal) — before faults are on.
+        let doomed = k.add_endpoint(Box::new(Client::default()), Location::new(0, 0), "doomed");
+        let ping = |k: &mut SimKernel| {
+            let id = k.fresh_call_id();
+            let env = InvocationEnv::anonymous();
+            Message::call(id, Loid::instance(16, 2), "Ping", vec![], env)
+        };
+        let msg = ping(&mut k);
+        assert!(k.inject(Location::new(0, 1), doomed.element(), msg));
+        k.remove_endpoint(doomed);
+        let msg = ping(&mut k);
+        assert!(!k.inject(Location::new(0, 1), doomed.element(), msg));
+        k.faults_mut().set_drop_probability(0.1);
+        k.faults_mut().set_duplicate_probability(0.3);
+        k.faults_mut().set_reorder(0.3, 5_000);
+        load_pings(&mut k, 60, 0);
+        k.run_until_quiescent(10_000);
+        k.finish_journal().unwrap();
+        let (_, records) = read_all(&sink.contents()).unwrap();
+
+        let mut kinds = std::collections::BTreeSet::new();
+        for e in k.flight().iter() {
+            let rec = &records[e.seq as usize];
+            assert_eq!(rec.seq, e.seq);
+            assert_eq!(
+                (rec.at, rec.kind, rec.endpoint, rec.label.as_str()),
+                (e.at.as_nanos(), e.kind, e.endpoint, e.label.as_str()),
+                "flight event {e}"
+            );
+            let detail = match e.kind {
+                KernelEventKind::Delay | KernelEventKind::Duplicate => rec.b,
+                _ => rec.a,
+            };
+            assert_eq!(e.detail, detail, "flight event {e}");
+            kinds.insert(e.kind);
+        }
+        use KernelEventKind::*;
+        for kind in [Drop, Duplicate, Delay, Dedup, DeadLetter, Refuse, HaVerdict] {
+            assert!(kinds.contains(&kind), "no {kind} in the flight ring");
+        }
+
+        let mut fault_spans = std::collections::BTreeSet::new();
+        for s in k.drain_trace() {
+            if s.kind.route().span != legion_core::event::SpanRoute::Always {
+                continue;
+            }
+            assert!(
+                records.iter().any(|r| r.kind == s.kind
+                    && r.at == s.at.as_nanos()
+                    && r.endpoint == s.endpoint),
+                "span {s} has no journal record"
+            );
+            fault_spans.insert(s.kind);
+        }
+        assert_eq!(
+            fault_spans.into_iter().collect::<Vec<_>>(),
+            [Drop, Duplicate, Delay, Dedup, DeadLetter, Refuse]
+        );
+    }
+
     #[test]
     fn send_to_all_reaches_every_replica() {
         let (mut k, eps) = replicated_kernel(AddressSemantics::SendToAll, 4);
@@ -2436,7 +2325,7 @@ mod tests {
         // Parent chain: root span → hop1 → hop2 → hop3.
         let root = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Begin)
+            .find(|e| e.kind == KernelEventKind::Begin)
             .unwrap()
             .span;
         assert_eq!(s.hops[0].parent, root);
@@ -2481,7 +2370,7 @@ mod tests {
         let events = k.drain_trace();
         let drop = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Drop)
+            .find(|e| e.kind == KernelEventKind::Drop)
             .expect("drop span recorded");
         assert_eq!(drop.label, "drop:silent");
         assert_eq!(drop.trace, tc.trace);
@@ -2511,7 +2400,7 @@ mod tests {
         let events = k.drain_trace();
         let refuse = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Refuse)
+            .find(|e| e.kind == KernelEventKind::Refuse)
             .expect("refuse span recorded");
         assert_eq!(refuse.label, "refused:dead-endpoint");
         assert_eq!(refuse.trace, tc.trace);
@@ -2547,13 +2436,13 @@ mod tests {
         let events = k.drain_trace();
         let dead = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::DeadLetter)
+            .find(|e| e.kind == KernelEventKind::DeadLetter)
             .expect("dead-letter span for untraced message");
         assert_eq!(dead.label, "dead_letter:Ping");
         assert_eq!(dead.trace, legion_core::trace::TraceId::NONE);
         let refuse = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Refuse)
+            .find(|e| e.kind == KernelEventKind::Refuse)
             .expect("refuse span for untraced message");
         assert_eq!(refuse.label, "refused:dead-endpoint");
         assert_eq!(refuse.trace, legion_core::trace::TraceId::NONE);
@@ -2611,8 +2500,8 @@ mod tests {
         assert_eq!(k.counters().get("net.dedup_dropped"), 1);
         assert_eq!(k.endpoint::<Echo>(echo).unwrap().got.len(), 1);
         let events = k.drain_trace();
-        assert!(events.iter().any(|e| e.kind == SpanEventKind::Duplicate));
-        assert!(events.iter().any(|e| e.kind == SpanEventKind::Dedup));
+        assert!(events.iter().any(|e| e.kind == KernelEventKind::Duplicate));
+        assert!(events.iter().any(|e| e.kind == KernelEventKind::Dedup));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! latency; the per-hop-label rows then explain where the network time
 //! went.
 
-use crate::span::{SpanEvent, SpanEventKind};
+use crate::span::SpanEvent;
+use legion_core::event::KernelEventKind;
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
 use serde::{Deserialize, Serialize};
@@ -98,15 +99,15 @@ pub fn summarize(events: &[SpanEvent]) -> Vec<TraceSummary> {
             timers: 0,
         });
         match e.kind {
-            SpanEventKind::Begin => {
+            KernelEventKind::Begin => {
                 s.begin_at = Some(e.at);
                 s.label = e.label.clone();
             }
-            SpanEventKind::End => {
+            KernelEventKind::End => {
                 s.end_at = Some(e.at);
                 s.outcome = e.label.clone();
             }
-            SpanEventKind::Send => s.hops.push(Hop {
+            KernelEventKind::Send => s.hops.push(Hop {
                 span: e.span,
                 parent: e.parent,
                 label: e.label.clone(),
@@ -115,29 +116,38 @@ pub fn summarize(events: &[SpanEvent]) -> Vec<TraceSummary> {
                 to: None,
                 fate: HopFate::Pending,
             }),
-            SpanEventKind::Deliver
-            | SpanEventKind::Drop
-            | SpanEventKind::Refuse
-            | SpanEventKind::DeadLetter => {
+            KernelEventKind::Deliver
+            | KernelEventKind::Drop
+            | KernelEventKind::Refuse
+            | KernelEventKind::DeadLetter => {
                 if let Some(h) = s.hops.iter_mut().rev().find(|h| h.span == e.span) {
                     h.fate = match e.kind {
-                        SpanEventKind::Deliver => HopFate::Delivered(e.at),
-                        SpanEventKind::Drop => HopFate::Dropped,
-                        SpanEventKind::Refuse => HopFate::Refused,
+                        KernelEventKind::Deliver => HopFate::Delivered(e.at),
+                        KernelEventKind::Drop => HopFate::Dropped,
+                        KernelEventKind::Refuse => HopFate::Refused,
                         _ => HopFate::DeadLettered,
                     };
-                    if e.kind == SpanEventKind::Deliver {
+                    if e.kind == KernelEventKind::Deliver {
                         h.to = Some(e.endpoint);
                     }
                 }
             }
-            SpanEventKind::Timer => s.timers += 1,
+            KernelEventKind::Timer => s.timers += 1,
             // Fault-verdict annotations: the hop's fate is still decided
             // by its eventual Deliver/Drop event, so these read as notes.
-            SpanEventKind::Note
-            | SpanEventKind::Duplicate
-            | SpanEventKind::Delay
-            | SpanEventKind::Dedup => s.notes.push((e.at, e.endpoint, e.label.clone())),
+            KernelEventKind::Note
+            | KernelEventKind::Duplicate
+            | KernelEventKind::Delay
+            | KernelEventKind::Dedup => s.notes.push((e.at, e.endpoint, e.label.clone())),
+            // Kinds the routing table never sends to the span stream.
+            KernelEventKind::Attach
+            | KernelEventKind::Detach
+            | KernelEventKind::Start
+            | KernelEventKind::Inject
+            | KernelEventKind::Timeout
+            | KernelEventKind::HaVerdict
+            | KernelEventKind::Snapshot
+            | KernelEventKind::Shed => {}
         }
     }
     by_trace.into_values().collect()
@@ -289,7 +299,7 @@ mod tests {
         trace: u64,
         span: u64,
         parent: u64,
-        kind: SpanEventKind,
+        kind: KernelEventKind,
         at: u64,
         label: &str,
     ) -> SpanEvent {
@@ -307,12 +317,12 @@ mod tests {
     /// begin@0 .. send@0->deliver@10 .. send@10->deliver@30 .. end@40
     fn one_trace() -> Vec<SpanEvent> {
         vec![
-            ev(1, 1, 0, SpanEventKind::Begin, 0, "lookup"),
-            ev(1, 2, 1, SpanEventKind::Send, 0, "GetBinding"),
-            ev(1, 2, 1, SpanEventKind::Deliver, 10, ""),
-            ev(1, 3, 2, SpanEventKind::Send, 10, "reply"),
-            ev(1, 3, 2, SpanEventKind::Deliver, 30, ""),
-            ev(1, 1, 0, SpanEventKind::End, 40, "ok"),
+            ev(1, 1, 0, KernelEventKind::Begin, 0, "lookup"),
+            ev(1, 2, 1, KernelEventKind::Send, 0, "GetBinding"),
+            ev(1, 2, 1, KernelEventKind::Deliver, 10, ""),
+            ev(1, 3, 2, KernelEventKind::Send, 10, "reply"),
+            ev(1, 3, 2, KernelEventKind::Deliver, 30, ""),
+            ev(1, 1, 0, KernelEventKind::End, 40, "ok"),
         ]
     }
 
@@ -343,12 +353,12 @@ mod tests {
     #[test]
     fn overlapping_hops_do_not_double_count() {
         let events = vec![
-            ev(1, 1, 0, SpanEventKind::Begin, 0, "fanout"),
-            ev(1, 2, 1, SpanEventKind::Send, 0, "Ping"),
-            ev(1, 3, 1, SpanEventKind::Send, 0, "Ping"),
-            ev(1, 2, 1, SpanEventKind::Deliver, 10, ""),
-            ev(1, 3, 1, SpanEventKind::Deliver, 15, ""),
-            ev(1, 1, 0, SpanEventKind::End, 15, "ok"),
+            ev(1, 1, 0, KernelEventKind::Begin, 0, "fanout"),
+            ev(1, 2, 1, KernelEventKind::Send, 0, "Ping"),
+            ev(1, 3, 1, KernelEventKind::Send, 0, "Ping"),
+            ev(1, 2, 1, KernelEventKind::Deliver, 10, ""),
+            ev(1, 3, 1, KernelEventKind::Deliver, 15, ""),
+            ev(1, 1, 0, KernelEventKind::End, 15, "ok"),
         ];
         let p = request_path(&summarize(&events)[0]);
         assert_eq!(p.network_ns, 15, "union, not sum");
@@ -360,10 +370,10 @@ mod tests {
     #[test]
     fn faulted_hops_are_counted_not_timed() {
         let events = vec![
-            ev(1, 1, 0, SpanEventKind::Begin, 0, "op"),
-            ev(1, 2, 1, SpanEventKind::Send, 0, "Ping"),
-            ev(1, 2, 1, SpanEventKind::Drop, 0, "drop"),
-            ev(1, 1, 0, SpanEventKind::End, 50, "failed"),
+            ev(1, 1, 0, KernelEventKind::Begin, 0, "op"),
+            ev(1, 2, 1, KernelEventKind::Send, 0, "Ping"),
+            ev(1, 2, 1, KernelEventKind::Drop, 0, "drop"),
+            ev(1, 1, 0, KernelEventKind::End, 50, "failed"),
         ];
         let p = request_path(&summarize(&events)[0]);
         assert_eq!(p.faulted_hops, 1);

@@ -32,7 +32,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<SpanEvent>, DeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanEventKind;
+    use legion_core::event::KernelEventKind;
     use legion_core::time::SimTime;
     use legion_core::trace::{SpanId, TraceId};
 
@@ -42,7 +42,7 @@ mod tests {
                 trace: TraceId(1),
                 span: SpanId(1),
                 parent: SpanId::NONE,
-                kind: SpanEventKind::Begin,
+                kind: KernelEventKind::Begin,
                 at: SimTime(0),
                 endpoint: 7,
                 label: "lookup".into(),
@@ -51,7 +51,7 @@ mod tests {
                 trace: TraceId(1),
                 span: SpanId(2),
                 parent: SpanId(1),
-                kind: SpanEventKind::Send,
+                kind: KernelEventKind::Send,
                 at: SimTime(10),
                 endpoint: 7,
                 label: "GetBinding".into(),

@@ -31,8 +31,9 @@ pub mod slo;
 pub mod span;
 
 pub use analysis::{HopBreakdown, RequestPath, TraceSummary};
+pub use legion_core::event::KernelEventKind;
 pub use profile::{KernelProfiler, MethodStat, Profile, ProfileEntry};
-pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
+pub use recorder::{FlightEvent, FlightRecorder};
 pub use sink::TraceSink;
 pub use slo::{SloConfig, SloObjective, SloReport, SloTracker};
-pub use span::{SpanEvent, SpanEventKind};
+pub use span::SpanEvent;

@@ -15,6 +15,7 @@
 //! warmed up performs **zero** heap allocations, which is what lets the
 //! recorder stay always-on under the bench allocation gates.
 
+use legion_core::event::KernelEventKind;
 use legion_core::symbol::Sym;
 use legion_core::time::SimTime;
 use serde::Value;
@@ -24,58 +25,6 @@ use std::fmt;
 /// preceding a failure, small enough to be free to keep around.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// What kind of kernel event a [`FlightEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FlightKind {
-    /// A message was delivered to a live endpoint.
-    Deliver,
-    /// A delivery found its endpoint dead on arrival.
-    DeadLetter,
-    /// A send was refused detectably (dead/unknown endpoint).
-    Refuse,
-    /// A message was silently dropped by the fault plan.
-    Drop,
-    /// A duplicate delivery was suppressed by the at-most-once window.
-    Dedup,
-    /// The fault plan duplicated a message.
-    Duplicate,
-    /// The fault plan delayed a message.
-    Delay,
-    /// A dispatch deadline sweep expired a pending continuation.
-    Timeout,
-    /// A high-availability verdict (suspect, host-dead, recovery, …).
-    HaVerdict,
-    /// A free-form endpoint annotation.
-    Note,
-    /// A call refused admission by an overloaded endpoint (load shed).
-    Shed,
-}
-
-impl FlightKind {
-    /// Stable lower-case label used in dumps and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightKind::Deliver => "deliver",
-            FlightKind::DeadLetter => "dead_letter",
-            FlightKind::Refuse => "refuse",
-            FlightKind::Drop => "drop",
-            FlightKind::Dedup => "dedup",
-            FlightKind::Duplicate => "duplicate",
-            FlightKind::Delay => "delay",
-            FlightKind::Timeout => "timeout",
-            FlightKind::HaVerdict => "ha_verdict",
-            FlightKind::Note => "note",
-            FlightKind::Shed => "shed",
-        }
-    }
-}
-
-impl fmt::Display for FlightKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// One recorded kernel event. `Copy`, fixed-size, no owned strings: the
 /// `label` is a pre-interned symbol (message kind, counter name, HA
 /// verdict) and `detail` is a kind-specific number (call id, extra
@@ -84,8 +33,9 @@ impl fmt::Display for FlightKind {
 pub struct FlightEvent {
     /// Virtual time the event happened.
     pub at: SimTime,
-    /// What happened.
-    pub kind: FlightKind,
+    /// What happened (a kind the routing table sends to the flight
+    /// ring).
+    pub kind: KernelEventKind,
     /// The endpoint it happened at (receiver for deliveries, sender for
     /// refusals/drops).
     pub endpoint: u64,
@@ -265,7 +215,7 @@ mod tests {
     fn ev(i: u64) -> FlightEvent {
         FlightEvent {
             at: SimTime(i * 10),
-            kind: FlightKind::Deliver,
+            kind: KernelEventKind::Deliver,
             endpoint: i,
             label: symbol::PING,
             detail: i,

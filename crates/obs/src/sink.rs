@@ -7,7 +7,8 @@
 //! the seed. A disabled sink records nothing and allocates nothing,
 //! keeping untraced runs bit-identical to pre-tracing behaviour.
 
-use crate::span::{SpanEvent, SpanEventKind};
+use crate::span::SpanEvent;
+use legion_core::event::KernelEventKind;
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceContext, TraceId};
 use std::collections::VecDeque;
@@ -69,7 +70,7 @@ impl TraceSink {
             trace: tc.trace,
             span: tc.span,
             parent: SpanId::NONE,
-            kind: SpanEventKind::Begin,
+            kind: KernelEventKind::Begin,
             at,
             endpoint,
             label: label.to_owned(),
@@ -125,7 +126,7 @@ mod tests {
             trace: TraceId(trace),
             span: SpanId(span),
             parent: SpanId::NONE,
-            kind: SpanEventKind::Note,
+            kind: KernelEventKind::Note,
             at: SimTime(1),
             endpoint: 0,
             label: String::new(),

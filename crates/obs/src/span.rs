@@ -7,59 +7,11 @@
 //! hops get a `Drop`/`Refuse`/`DeadLetter` event instead of a `Deliver`,
 //! tagged with the fault verdict in `label`.
 
+use legion_core::event::KernelEventKind;
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// What happened at one point of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum SpanEventKind {
-    /// A root span opened (one per workload-level request).
-    Begin,
-    /// The request finished (successfully or not — see `label`).
-    End,
-    /// A message hop left its sender.
-    Send,
-    /// A message hop arrived at a live endpoint.
-    Deliver,
-    /// The fault plan silently dropped the hop.
-    Drop,
-    /// The send was detectably refused (dead/unknown endpoint, §4.1.4).
-    Refuse,
-    /// Delivery found the endpoint dead on arrival.
-    DeadLetter,
-    /// The fault plan duplicated the hop (a second copy was queued).
-    Duplicate,
-    /// The fault plan delayed the hop (spike multiplier / reorder jitter).
-    Delay,
-    /// The receiver's at-most-once window rejected a duplicate delivery.
-    Dedup,
-    /// A timer armed inside this trace fired.
-    Timer,
-    /// A protocol-level annotation (cache hit/miss, activation, …).
-    Note,
-}
-
-impl fmt::Display for SpanEventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SpanEventKind::Begin => "begin",
-            SpanEventKind::End => "end",
-            SpanEventKind::Send => "send",
-            SpanEventKind::Deliver => "deliver",
-            SpanEventKind::Drop => "drop",
-            SpanEventKind::Refuse => "refuse",
-            SpanEventKind::DeadLetter => "dead_letter",
-            SpanEventKind::Duplicate => "duplicate",
-            SpanEventKind::Delay => "delay",
-            SpanEventKind::Dedup => "dedup",
-            SpanEventKind::Timer => "timer",
-            SpanEventKind::Note => "note",
-        };
-        f.write_str(s)
-    }
-}
 
 /// One recorded event. ~64 bytes; the sink stores these by value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +23,7 @@ pub struct SpanEvent {
     /// The causal parent span (`SpanId::NONE` for roots).
     pub parent: SpanId,
     /// What happened.
-    pub kind: SpanEventKind,
+    pub kind: KernelEventKind,
     /// When (virtual time).
     pub at: SimTime,
     /// The endpoint where the event was observed (`u64::MAX` when the
@@ -102,34 +54,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_render_distinctly() {
-        let kinds = [
-            SpanEventKind::Begin,
-            SpanEventKind::End,
-            SpanEventKind::Send,
-            SpanEventKind::Deliver,
-            SpanEventKind::Drop,
-            SpanEventKind::Refuse,
-            SpanEventKind::DeadLetter,
-            SpanEventKind::Duplicate,
-            SpanEventKind::Delay,
-            SpanEventKind::Dedup,
-            SpanEventKind::Timer,
-            SpanEventKind::Note,
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for k in kinds {
-            assert!(seen.insert(k.to_string()), "duplicate rendering for {k:?}");
-        }
-    }
-
-    #[test]
     fn event_displays_all_parts() {
         let e = SpanEvent {
             trace: TraceId(1),
             span: SpanId(2),
             parent: SpanId::NONE,
-            kind: SpanEventKind::Send,
+            kind: KernelEventKind::Send,
             at: SimTime(10),
             endpoint: 3,
             label: "Ping".into(),

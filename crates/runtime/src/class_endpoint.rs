@@ -36,6 +36,7 @@ use legion_core::binding::Binding;
 use legion_core::class::{ClassKind, ClassObject, TableEntry};
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::event::KernelEventKind;
 use legion_core::idl;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
@@ -53,7 +54,7 @@ use legion_net::dispatch::{
 };
 use legion_net::message::CallId;
 use legion_net::message::Message;
-use legion_net::sim::{Ctx, Endpoint, FlightKind};
+use legion_net::sim::{Ctx, Endpoint};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -204,7 +205,7 @@ impl ClassEndpoint {
             Admission::Shed { retry_after_ns } => {
                 ctx.count_n_sym(symbol::NET_REQUESTS_SHED, 1);
                 ctx.flight(
-                    FlightKind::Shed,
+                    KernelEventKind::Shed,
                     msg.method_sym().unwrap_or(symbol::EMPTY),
                     retry_after_ns,
                 );

@@ -35,6 +35,7 @@ use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::event::KernelEventKind;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_methods;
@@ -49,7 +50,7 @@ use legion_net::dispatch::{
     MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
 use legion_net::message::Message;
-use legion_net::sim::{Ctx, Endpoint, FlightKind};
+use legion_net::sim::{Ctx, Endpoint};
 use legion_persist::opr::Opr;
 use legion_persist::storage::{JurisdictionStorage, PersistentAddress};
 use legion_security::mayi::{AllowAll, MayIPolicy};
@@ -664,7 +665,7 @@ impl MagistrateEndpoint {
             ha.tracker.false_positive();
             ctx.count("magistrate.ha_false_positive");
             ctx.trace_note("ha.false_positive");
-            ctx.flight(FlightKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
+            ctx.flight(KernelEventKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
         }
         if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == host) {
             h.alive = true;
@@ -685,7 +686,7 @@ impl MagistrateEndpoint {
             match t.to {
                 Health::Suspect => {
                     ctx.count("magistrate.ha_suspect");
-                    ctx.flight(FlightKind::HaVerdict, symbol::HA_SUSPECT, t.silence_ns);
+                    ctx.flight(KernelEventKind::HaVerdict, symbol::HA_SUSPECT, t.silence_ns);
                 }
                 Health::Dead => self.recover_host(ctx, t.host, t.silence_ns),
                 Health::Alive => {}
@@ -700,7 +701,7 @@ impl MagistrateEndpoint {
     /// from the vault OPRs, on surviving hosts.
     fn recover_host(&mut self, ctx: &mut Ctx<'_>, host: Loid, silence_ns: u64) {
         ctx.count("magistrate.ha_host_dead");
-        ctx.flight(FlightKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
+        ctx.flight(KernelEventKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
         self.mark_host_dead(&host);
         if let Some(ha) = &mut self.ha {
             ha.tracker.host_dead(silence_ns);
@@ -766,7 +767,7 @@ impl MagistrateEndpoint {
         };
         ctx.count("magistrate.ha_recoveries");
         ctx.flight(
-            FlightKind::HaVerdict,
+            KernelEventKind::HaVerdict,
             symbol::HA_RECOVERED,
             loid.class_specific,
         );

@@ -18,6 +18,12 @@
 #     crates/net/src/sim.rs (`Inner::dequeue`). The snapshot witness's
 #     queue digest adds at the enqueue funnel and subtracts at the
 #     dequeue funnel; a second pop site would let it drift.
+#   * `flight.record(`, `journal.note(` or `sink.record(` appears in
+#     non-test code outside its owning crate (crates/obs, crates/journal)
+#     anywhere but the one kernel emission funnel,
+#     crates/net/src/sim/observe.rs (`Inner::observe`). The funnel routes
+#     each event kind to its sinks from one table; a direct call would
+#     let the journal, flight ring and span stream disagree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,15 +41,17 @@ if [[ -n "$heap_hits" ]]; then
     exit 1
 fi
 
-# The single call site of `queue.<op>(` outside the wheel, or exit 1.
+# The single call site of `call` outside the paths matching `owners`
+# (an extended regex over grep's `path:` prefix), which must be in
+# `file`, or exit 1.
 single_site() {
-    local op="$1" funnel="$2" why="$3" hits count
-    hits=$(grep -rn "queue\.$op(" crates/ --include='*.rs' \
-        | grep -v "^$wheel:" || true)
+    local call="$1" owners="$2" file="$3" funnel="$4" why="$5" hits count
+    hits=$(grep -rnF "$call" crates/ --include='*.rs' \
+        | grep -Ev "^($owners)" || true)
     count=$(printf '%s' "$hits" | grep -c . || true)
-    if [[ "$count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$hits"; then
-        echo "error: expected exactly one queue.$op call site outside the wheel" >&2
-        echo "(the $funnel funnel in crates/net/src/sim.rs); found:" >&2
+    if [[ "$count" -ne 1 ]] || ! grep -q "^$file:" <<<"$hits"; then
+        echo "error: expected exactly one $call call site outside its owner" >&2
+        echo "(the $funnel funnel in $file); found:" >&2
         echo "${hits:-<none>}" >&2
         echo >&2
         echo "$why" >&2
@@ -51,10 +59,22 @@ single_site() {
     fi
 }
 
-single_site push enqueue "Route all event scheduling through SimKernel's enqueue so every event
+single_site 'queue.push(' "$wheel:" crates/net/src/sim.rs enqueue \
+    "Route all event scheduling through SimKernel's enqueue so every event
 gets its deterministic sequence stamp and enters the snapshot witness."
-single_site pop dequeue "Take events off the wheel only through SimKernel's dequeue so the
+single_site 'queue.pop(' "$wheel:" crates/net/src/sim.rs dequeue \
+    "Take events off the wheel only through SimKernel's dequeue so the
 snapshot witness's queue digest stays exact."
+
+# Kernel emission: one funnel feeds the journal, the flight ring and the
+# span stream. Test files may drive the sinks directly.
+observe='crates/net/src/sim/observe.rs'
+sink_owners='crates/obs/|crates/journal/|crates/[^:]*/(tests|benches)/'
+for call in 'flight.record(' 'journal.note(' 'sink.record('; do
+    single_site "$call" "$sink_owners" "$observe" observe \
+        "Emit kernel events through Inner::observe so the routing table decides
+which sinks see them."
+done
 
 # Admission path: the per-endpoint admission queue is an O(1) integer
 # ledger (admitted-until horizon + counters), not a buffer. Overload is
