@@ -9,12 +9,13 @@
 # Fails the build if kernel-internal stats accounting (`inner.stats`,
 # `.stats.sent`-style field access) or fault-verdict construction
 # (`Verdict::Duplicate { .. }` etc.) appears outside
-# crates/net/src/faults.rs and crates/net/src/sim.rs (plus legion-net's
-# own integration tests, which exercise the fault plan directly).
+# crates/net/src/faults.rs, crates/net/src/sim.rs and the kernel's send
+# path crates/net/src/sim/send.rs (plus legion-net's own integration
+# tests, which exercise the fault plan directly).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allowed_re='^crates/net/src/(faults|sim)\.rs:|^crates/net/tests/'
+allowed_re='^crates/net/src/(faults|sim|sim/send)\.rs:|^crates/net/tests/'
 
 hits=$(grep -rnE 'inner\.stats|\.stats\.(sent|delivered|lost|refused|dead_letters|events)|Verdict::(Deliver|DropSilently|Duplicate|Delay)' \
     crates/ --include='*.rs' | grep -vE "$allowed_re" || true)
