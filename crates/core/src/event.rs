@@ -3,65 +3,13 @@
 //! Every event the simulation kernel can report — an ingress it
 //! journals, a verdict it keeps in the flight ring, a hop it records as
 //! a span — is one [`KernelEventKind`]. The three sinks differ only in
-//! which kinds they see, and that is one const table ([`Route`]), not
+//! which kinds they see, and that is one table ([`Route`] per kind), not
 //! three enums with three label tables. The kind lives here, beside
 //! [`crate::trace`], because the journal, the flight recorder and the
 //! span schema all sit above the model layer and share it.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// What happened in the kernel. Serde renders the variant name
-/// (`"DeadLetter"`, the trace JSONL shape); [`KernelEventKind::label`]
-/// is the snake_case name dumps and reports use.
-///
-/// The first seventeen variants are journaled, and the journal's wire
-/// tags (`legion_journal::record`) are frozen to them; append new
-/// kinds at the end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum KernelEventKind {
-    /// An endpoint attached to the kernel.
-    Attach,
-    /// An endpoint detached (or was killed).
-    Detach,
-    /// An endpoint's `on_start` ran.
-    Start,
-    /// A message hop arrived at a live endpoint.
-    Deliver,
-    /// A timer fired at an endpoint.
-    Timer,
-    /// A message was injected from outside the simulation.
-    Inject,
-    /// The fault plan silently dropped a message.
-    Drop,
-    /// The fault plan duplicated a message (a second copy was queued).
-    Duplicate,
-    /// The fault plan delayed a message (spike multiplier / jitter).
-    Delay,
-    /// The receiver's at-most-once window suppressed a duplicate.
-    Dedup,
-    /// A delivery found its endpoint dead on arrival.
-    DeadLetter,
-    /// A send was refused detectably (dead/unknown endpoint, §4.1.4).
-    Refuse,
-    /// A dispatch deadline sweep expired a pending continuation.
-    Timeout,
-    /// A high-availability verdict (suspect, host-dead, recovery, …).
-    HaVerdict,
-    /// A journal snapshot mark.
-    Snapshot,
-    /// A free-form annotation (flight note, or a protocol-level span
-    /// note such as a cache hit).
-    Note,
-    /// Admission control shed a call at an overloaded endpoint.
-    Shed,
-    /// A root span opened (one per workload-level request).
-    Begin,
-    /// A request finished (successfully or not — see the span label).
-    End,
-    /// A message hop left its sender.
-    Send,
-}
 
 /// When a kind enters the span stream. Spans are only ever recorded
 /// while the trace sink is enabled.
@@ -87,82 +35,92 @@ pub struct Route {
     pub span: SpanRoute,
 }
 
-const fn route(journal: bool, flight: bool, span: SpanRoute) -> Route {
-    Route {
-        journal,
-        flight,
-        span,
-    }
+/// Declares [`KernelEventKind`], its labels and its routes from one
+/// table, one row per kind.
+macro_rules! kernel_event_kinds {
+    ($($(#[doc = $doc:literal])* $kind:ident $label:literal $journal:literal $flight:literal $span:ident,)*) => {
+        /// What happened in the kernel. Serde renders the variant name
+        /// (`"DeadLetter"`, the trace JSONL shape);
+        /// [`KernelEventKind::label`] is the snake_case name dumps and
+        /// reports use.
+        ///
+        /// The first seventeen variants are journaled, and the journal's
+        /// wire tags (`legion_journal::record`) are frozen to them;
+        /// append new kinds at the end.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        pub enum KernelEventKind {
+            $($(#[doc = $doc])* $kind,)*
+        }
+
+        impl KernelEventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [KernelEventKind] = &[$(KernelEventKind::$kind),*];
+
+            /// Stable snake_case label used in dumps, JSON and journal text.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(KernelEventKind::$kind => $label,)*
+                }
+            }
+
+            /// The sinks this kind reaches.
+            #[inline]
+            pub const fn route(self) -> Route {
+                match self {
+                    $(KernelEventKind::$kind => Route {
+                        journal: $journal,
+                        flight: $flight,
+                        span: SpanRoute::$span,
+                    },)*
+                }
+            }
+        }
+    };
 }
 
-use SpanRoute::{Always, Never, Traced};
-
-/// The routing table, indexed by kind in declaration order.
-const ROUTES: [Route; KernelEventKind::ALL.len()] = [
-    route(true, false, Never),   // Attach
-    route(true, false, Never),   // Detach
-    route(true, false, Never),   // Start
-    route(true, true, Traced),   // Deliver
-    route(true, false, Traced),  // Timer
-    route(true, false, Never),   // Inject
-    route(true, true, Always),   // Drop
-    route(true, true, Always),   // Duplicate
-    route(true, true, Always),   // Delay
-    route(true, true, Always),   // Dedup
-    route(true, true, Always),   // DeadLetter
-    route(true, true, Always),   // Refuse
-    route(true, true, Never),    // Timeout
-    route(true, true, Never),    // HaVerdict
-    route(true, false, Never),   // Snapshot
-    route(true, true, Traced),   // Note
-    route(true, true, Never),    // Shed
-    route(false, false, Traced), // Begin
-    route(false, false, Traced), // End
-    route(false, false, Traced), // Send
-];
-
-impl KernelEventKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [KernelEventKind; 20] = {
-        use KernelEventKind::*;
-        [
-            Attach, Detach, Start, Deliver, Timer, Inject, Drop, Duplicate, Delay, Dedup,
-            DeadLetter, Refuse, Timeout, HaVerdict, Snapshot, Note, Shed, Begin, End, Send,
-        ]
-    };
-
-    /// The sinks this kind reaches.
-    #[inline]
-    pub const fn route(self) -> Route {
-        ROUTES[self as usize]
-    }
-
-    /// Stable snake_case label used in dumps, JSON and journal text.
-    pub fn label(self) -> &'static str {
-        use KernelEventKind::*;
-        match self {
-            Attach => "attach",
-            Detach => "detach",
-            Start => "start",
-            Deliver => "deliver",
-            Timer => "timer",
-            Inject => "inject",
-            Drop => "drop",
-            Duplicate => "duplicate",
-            Delay => "delay",
-            Dedup => "dedup",
-            DeadLetter => "dead_letter",
-            Refuse => "refuse",
-            Timeout => "timeout",
-            HaVerdict => "ha_verdict",
-            Snapshot => "snapshot",
-            Note => "note",
-            Shed => "shed",
-            Begin => "begin",
-            End => "end",
-            Send => "send",
-        }
-    }
+kernel_event_kinds! {
+    // kind      label          journal flight span
+    /// An endpoint attached to the kernel.
+    Attach      "attach"        true   false  Never,
+    /// An endpoint detached (or was killed).
+    Detach      "detach"        true   false  Never,
+    /// An endpoint's `on_start` ran.
+    Start       "start"         true   false  Never,
+    /// A message hop arrived at a live endpoint.
+    Deliver     "deliver"       true   true   Traced,
+    /// A timer fired at an endpoint.
+    Timer       "timer"         true   false  Traced,
+    /// A message was injected from outside the simulation.
+    Inject      "inject"        true   false  Never,
+    /// The fault plan silently dropped a message.
+    Drop        "drop"          true   true   Always,
+    /// The fault plan duplicated a message (a second copy was queued).
+    Duplicate   "duplicate"     true   true   Always,
+    /// The fault plan delayed a message (spike multiplier / jitter).
+    Delay       "delay"         true   true   Always,
+    /// The receiver's at-most-once window suppressed a duplicate.
+    Dedup       "dedup"         true   true   Always,
+    /// A delivery found its endpoint dead on arrival.
+    DeadLetter  "dead_letter"   true   true   Always,
+    /// A send was refused detectably (dead/unknown endpoint, §4.1.4).
+    Refuse      "refuse"        true   true   Always,
+    /// A dispatch deadline sweep expired a pending continuation.
+    Timeout     "timeout"       true   true   Never,
+    /// A high-availability verdict (suspect, host-dead, recovery, …).
+    HaVerdict   "ha_verdict"    true   true   Never,
+    /// A journal snapshot mark.
+    Snapshot    "snapshot"      true   false  Never,
+    /// A free-form annotation: a flight note, or a protocol-level span
+    /// note such as a cache hit.
+    Note        "note"          true   true   Traced,
+    /// Admission control shed a call at an overloaded endpoint.
+    Shed        "shed"          true   true   Never,
+    /// A root span opened (one per workload-level request).
+    Begin       "begin"         false  false  Traced,
+    /// A request finished (successfully or not — see the span label).
+    End         "end"           false  false  Traced,
+    /// A message hop left its sender.
+    Send        "send"          false  false  Traced,
 }
 
 impl fmt::Display for KernelEventKind {
@@ -177,13 +135,6 @@ mod tests {
     use KernelEventKind::*;
 
     #[test]
-    fn all_is_in_declaration_order() {
-        for (i, k) in KernelEventKind::ALL.iter().enumerate() {
-            assert_eq!(*k as usize, i, "{k:?}");
-        }
-    }
-
-    #[test]
     fn labels_are_distinct_snake_case() {
         let mut seen = std::collections::HashSet::new();
         for k in KernelEventKind::ALL {
@@ -192,28 +143,30 @@ mod tests {
             assert!(l.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
             assert_eq!(k.to_string(), l);
         }
+        assert_eq!(KernelEventKind::ALL.len(), 20);
     }
 
     #[test]
     fn routing_matches_the_three_sinks() {
-        let in_flight: Vec<_> = KernelEventKind::ALL
-            .into_iter()
-            .filter(|k| k.route().flight)
-            .collect();
+        let kinds = |keep: fn(Route) -> bool| -> Vec<KernelEventKind> {
+            let all = KernelEventKind::ALL.iter().copied();
+            all.filter(|k| keep(k.route())).collect()
+        };
         assert_eq!(
-            in_flight,
+            kinds(|r| r.flight),
             [
                 Deliver, Drop, Duplicate, Delay, Dedup, DeadLetter, Refuse, Timeout, HaVerdict,
                 Note, Shed
             ]
         );
-        let span_only: Vec<_> = KernelEventKind::ALL
-            .into_iter()
-            .filter(|k| !k.route().journal)
-            .collect();
-        assert_eq!(span_only, [Begin, End, Send]);
-        assert_eq!(Timer.route().span, SpanRoute::Traced);
-        assert_eq!(Refuse.route().span, SpanRoute::Always);
-        assert_eq!(Attach.route().span, SpanRoute::Never);
+        assert_eq!(kinds(|r| !r.journal), [Begin, End, Send]);
+        assert_eq!(
+            kinds(|r| r.span == SpanRoute::Always),
+            [Drop, Duplicate, Delay, Dedup, DeadLetter, Refuse]
+        );
+        assert_eq!(
+            kinds(|r| r.span == SpanRoute::Traced),
+            [Deliver, Timer, Note, Begin, End, Send]
+        );
     }
 }

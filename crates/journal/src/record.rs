@@ -307,7 +307,7 @@ mod tests {
             assert_eq!(tag(kind), None, "{kind:?} is span-only");
         }
         // The routing table and the tag table agree on what is journaled.
-        for kind in KernelEventKind::ALL {
+        for &kind in KernelEventKind::ALL {
             assert_eq!(tag(kind).is_some(), kind.route().journal, "{kind:?}");
         }
     }

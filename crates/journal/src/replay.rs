@@ -218,28 +218,14 @@ impl Verifier {
             return idx as u64;
         }
         let in_skip = idx < self.verify_from;
-        let seq = self.check(
-            at,
-            KernelEventKind::Snapshot,
-            0,
-            sections,
-            ordinal,
-            root_hex,
-        );
+        let kind = KernelEventKind::Snapshot;
+        let seq = self.check(at, kind, 0, sections, ordinal, root_hex);
         if in_skip && self.divergence.is_none() {
             // `check` only compared seq alignment; compare the root too.
             if let Some(slice) = self.slices.get(idx) {
                 if let Ok(rec) = decode_body(slice.body(&self.data), slice.offset) {
-                    if rec.kind != KernelEventKind::Snapshot || rec.label != root_hex {
-                        let got = render_event(
-                            seq,
-                            at,
-                            KernelEventKind::Snapshot,
-                            0,
-                            sections,
-                            ordinal,
-                            root_hex,
-                        );
+                    if rec.kind != kind || rec.label != root_hex {
+                        let got = render_event(seq, at, kind, 0, sections, ordinal, root_hex);
                         self.diverge(idx, self.rendered(idx), got);
                     }
                 }

@@ -445,12 +445,15 @@ impl SimKernel {
     /// Snapshot the profiler with endpoint names resolved (empty when
     /// profiling is off).
     pub fn profile(&self) -> Profile {
-        self.inner.profile.snapshot(|ep| {
-            self.slots
-                .get(ep as usize)
-                .map(|s| s.meta.name.clone())
-                .unwrap_or_else(|| format!("ep{ep}"))
-        })
+        self.inner.profile.snapshot(|ep| self.endpoint_name(ep))
+    }
+
+    /// An endpoint's name for reports (`ep<N>` for unknown ids).
+    fn endpoint_name(&self, ep: u64) -> String {
+        self.slots
+            .get(ep as usize)
+            .map(|s| s.meta.name.clone())
+            .unwrap_or_else(|| format!("ep{ep}"))
     }
 
     /// Turn on windowed latency-objective tracking.
@@ -474,12 +477,7 @@ impl SimKernel {
     /// Evaluate the collected SLO windows with endpoint names resolved.
     /// `None` when tracking is off.
     pub fn slo_report(&self) -> Option<SloReport> {
-        self.inner.slo.report(|ep| {
-            self.slots
-                .get(ep as usize)
-                .map(|s| s.meta.name.clone())
-                .unwrap_or_else(|| format!("ep{ep}"))
-        })
+        self.inner.slo.report(|ep| self.endpoint_name(ep))
     }
 
     /// A JSON-exportable snapshot of everything the kernel measures.
@@ -559,12 +557,12 @@ impl SimKernel {
         msg: Message,
     ) -> bool {
         let inner = &mut self.inner;
-        inner.observe(Observation::fact(
+        let to_ep = to.sim_endpoint().unwrap_or(u64::MAX);
+        inner.observe(Observation::message(
             KernelEventKind::Inject,
-            to.sim_endpoint().unwrap_or(u64::MAX),
-            msg.id.0,
+            to_ep,
+            &msg,
             0,
-            kind_sym(&msg),
         ));
         send_one(inner, &mut self.slots, from_location, None, to, msg)
     }
@@ -579,12 +577,7 @@ impl SimKernel {
     /// their `on_start` already ran). Returns `false` if the endpoint is
     /// not alive.
     pub fn set_timer(&mut self, to: EndpointId, delay_ns: u64, tag: u64) -> bool {
-        let alive = self
-            .slots
-            .get(to.0 as usize)
-            .map(|s| s.meta.alive && s.ep.is_some())
-            .unwrap_or(false);
-        if !alive {
+        if !self.is_live(to.0 as usize) {
             return false;
         }
         let at = self.inner.now.saturating_add(delay_ns);
@@ -730,17 +723,12 @@ impl SimKernel {
         self.inner.now = ev.at;
         self.inner.stats.events += 1;
         let idx = ev.to.0 as usize;
-        let alive = self
-            .slots
-            .get(idx)
-            .map(|s| s.meta.alive && s.ep.is_some())
-            .unwrap_or(false);
-        if !alive {
+        if !self.is_live(idx) {
             if let EventKind::Deliver(msg) = &ev.kind {
                 self.inner.stats.dead_letters += 1;
                 let label = kind_sym(msg);
                 self.inner.observe(
-                    Observation::fact(KernelEventKind::DeadLetter, idx as u64, msg.id.0, 0, label)
+                    Observation::message(KernelEventKind::DeadLetter, idx as u64, msg, 0)
                         .traced(ev.trace, format_args!("dead_letter:{label}")),
                 );
             }
@@ -756,7 +744,7 @@ impl SimKernel {
                     self.inner.note_count_sym(symbol::NET_DEDUP_DROPPED, 1);
                     let label = kind_sym(msg);
                     self.inner.observe(
-                        Observation::fact(KernelEventKind::Dedup, idx as u64, msg.id.0, 0, label)
+                        Observation::message(KernelEventKind::Dedup, idx as u64, msg, 0)
                             .traced(ev.trace, format_args!("dedup:{label}")),
                     );
                     return true;
@@ -776,13 +764,8 @@ impl SimKernel {
             };
             match ev.kind {
                 EventKind::Start => {
-                    ctx.inner.observe(Observation::fact(
-                        KernelEventKind::Start,
-                        idx as u64,
-                        0,
-                        0,
-                        "",
-                    ));
+                    let start = Observation::fact(KernelEventKind::Start, idx as u64, 0, 0, "");
+                    ctx.inner.observe(start);
                     ep.on_start(&mut ctx)
                 }
                 EventKind::Deliver(msg) => {
@@ -790,14 +773,8 @@ impl SimKernel {
                     ctx.inner.stats.delivered += 1;
                     let method = kind_sym(&msg);
                     ctx.inner.observe(
-                        Observation::fact(
-                            KernelEventKind::Deliver,
-                            idx as u64,
-                            msg.id.0,
-                            ev.lat_ns,
-                            method,
-                        )
-                        .traced(ev.trace, format_args!("{method}")),
+                        Observation::message(KernelEventKind::Deliver, idx as u64, &msg, ev.lat_ns)
+                            .traced(ev.trace, format_args!("{method}")),
                     );
                     if ctx.inner.profile.is_enabled() {
                         // Bracket the handler with wall-clock and the
@@ -872,6 +849,13 @@ impl SimKernel {
         }
         self.inner.now = self.inner.now.max(deadline);
         n
+    }
+
+    /// Is slot `idx` attached, alive, and holding its endpoint?
+    fn is_live(&self, idx: usize) -> bool {
+        self.slots
+            .get(idx)
+            .is_some_and(|s| s.meta.alive && s.ep.is_some())
     }
 
     /// Number of endpoints ever attached (dead slots included).
@@ -959,13 +943,8 @@ impl Inner {
         name: String,
     ) -> EndpointId {
         let id = EndpointId(slots.len() as u64);
-        self.observe(Observation::fact(
-            KernelEventKind::Attach,
-            id.0,
-            0,
-            0,
-            name.as_str(),
-        ));
+        let attach = Observation::fact(KernelEventKind::Attach, id.0, 0, 0, name.as_str());
+        self.observe(attach);
         slots.push(Slot::new(
             EndpointMeta {
                 location,
@@ -1111,14 +1090,28 @@ mod tests {
         )
     }
 
+    /// Attach an [`Echo`] for the `Ping` LOID.
+    fn add_echo(k: &mut SimKernel) -> EndpointId {
+        let echo = Box::new(Echo::new(Loid::instance(16, 1)));
+        k.add_endpoint(echo, Location::new(0, 0), "echo")
+    }
+
+    /// An argument-less `Ping` to the echo LOID with a fresh call id.
+    fn ping(k: &mut SimKernel) -> Message {
+        let id = k.fresh_call_id();
+        Message::call(
+            id,
+            Loid::instance(16, 1),
+            "Ping",
+            vec![],
+            InvocationEnv::anonymous(),
+        )
+    }
+
     #[test]
     fn call_and_reply_roundtrip() {
         let mut k = kernel();
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         let client = k.add_endpoint(Box::new(Client::default()), Location::new(0, 1), "client");
         let id = k.fresh_call_id();
         let mut msg = Message::call(
@@ -1145,21 +1138,10 @@ mod tests {
     #[test]
     fn latency_tiers_shape_virtual_time() {
         let mut k = kernel();
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         // Same-jurisdiction call: 10µs there + 10µs back = 20µs.
         let client = k.add_endpoint(Box::new(Client::default()), Location::new(0, 1), "client");
-        let id = k.fresh_call_id();
-        let mut msg = Message::call(
-            id,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let mut msg = ping(&mut k);
         msg.reply_to = Some(client.element());
         k.inject(Location::new(0, 1), echo.element(), msg);
         k.run_until_quiescent(100);
@@ -1169,20 +1151,9 @@ mod tests {
     #[test]
     fn send_to_dead_endpoint_is_refused() {
         let mut k = kernel();
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         k.remove_endpoint(echo);
-        let id = k.fresh_call_id();
-        let msg = Message::call(
-            id,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let msg = ping(&mut k);
         assert!(!k.inject(Location::new(0, 0), echo.element(), msg));
         assert_eq!(k.stats().refused, 1);
     }
@@ -1190,14 +1161,7 @@ mod tests {
     #[test]
     fn send_to_unknown_endpoint_is_refused() {
         let mut k = kernel();
-        let id = k.fresh_call_id();
-        let msg = Message::call(
-            id,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let msg = ping(&mut k);
         assert!(!k.inject(
             Location::new(0, 0),
             ObjectAddressElement::sim(999),
@@ -1263,11 +1227,7 @@ mod tests {
 
     /// Attach the echo and its client and inject the Pings, unrun.
     fn load_pings(k: &mut SimKernel, calls: u64, arg0: u64) {
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(k);
         let client = k.add_endpoint(Box::new(Client::default()), Location::new(0, 1), "client");
         for i in 0..calls {
             let id = k.fresh_call_id();
@@ -1489,11 +1449,6 @@ mod tests {
         // A delivery queued to an endpoint that dies first (dead letter),
         // then a send to the corpse (refusal) — before faults are on.
         let doomed = k.add_endpoint(Box::new(Client::default()), Location::new(0, 0), "doomed");
-        let ping = |k: &mut SimKernel| {
-            let id = k.fresh_call_id();
-            let env = InvocationEnv::anonymous();
-            Message::call(id, Loid::instance(16, 2), "Ping", vec![], env)
-        };
         let msg = ping(&mut k);
         assert!(k.inject(Location::new(0, 1), doomed.element(), msg));
         k.remove_endpoint(doomed);
@@ -1710,14 +1665,7 @@ mod tests {
         k.run_until_quiescent(10);
         assert!(!k.meta(id).unwrap().alive);
         // Deliveries to it are refused at send time.
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let msg = ping(&mut k);
         assert!(!k.inject(Location::new(0, 0), id.element(), msg));
     }
 
@@ -1725,19 +1673,8 @@ mod tests {
     fn drops_are_silent_and_counted() {
         let mut k = SimKernel::new(Topology::zero(), FaultPlan::none(), 7);
         k.faults_mut().set_drop_probability(1.0);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let echo = add_echo(&mut k);
+        let msg = ping(&mut k);
         // Accepted (sender can't tell) but never delivered.
         assert!(k.inject(Location::new(0, 0), echo.element(), msg));
         k.run_until_quiescent(10);
@@ -1861,20 +1798,10 @@ mod tests {
         let mut k = SimKernel::new(Topology::zero(), FaultPlan::none(), 7);
         k.enable_tracing(64);
         k.faults_mut().set_drop_probability(1.0);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         let tc = k.begin_trace("doomed");
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous().with_trace(tc),
-        );
+        let mut msg = ping(&mut k);
+        msg.env.trace = tc;
         assert!(k.inject(Location::new(0, 0), echo.element(), msg));
         k.run_until_quiescent(10);
         k.end_trace(tc, "lost");
@@ -1891,21 +1818,11 @@ mod tests {
     fn refused_message_records_fault_verdict_span() {
         let mut k = kernel();
         k.enable_tracing(64);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         k.remove_endpoint(echo);
         let tc = k.begin_trace("stale");
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous().with_trace(tc),
-        );
+        let mut msg = ping(&mut k);
+        msg.env.trace = tc;
         assert!(!k.inject(Location::new(0, 1), echo.element(), msg));
         k.end_trace(tc, "refused");
         let events = k.drain_trace();
@@ -1925,19 +1842,8 @@ mod tests {
         // observable without whole-flow tracing.
         let mut k = kernel();
         k.enable_tracing(64);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let echo = add_echo(&mut k);
+        let msg = ping(&mut k);
         // Queued delivery, then the endpoint dies: dead letter.
         assert!(k.inject(Location::new(0, 1), echo.element(), msg.clone()));
         k.remove_endpoint(echo);
@@ -1990,19 +1896,8 @@ mod tests {
         let mut k = SimKernel::new(Topology::zero(), FaultPlan::seeded(3), 7);
         k.enable_tracing(64);
         k.faults_mut().set_duplicate_probability(1.0);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let echo = add_echo(&mut k);
+        let msg = ping(&mut k);
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
         // The copy was queued but the at-most-once window suppressed it.
@@ -2021,19 +1916,8 @@ mod tests {
         k.set_dedup_enabled(false);
         assert!(!k.dedup_enabled());
         k.faults_mut().set_duplicate_probability(1.0);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let echo = add_echo(&mut k);
+        let msg = ping(&mut k);
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
         // Without the window the endpoint executes the call twice.
@@ -2051,20 +1935,9 @@ mod tests {
             multiplier: 3,
         });
         let mut k = SimKernel::new(Topology::fixed(1_000, 10_000, 1_000_000), plan, 42);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
+        let echo = add_echo(&mut k);
         let client = k.add_endpoint(Box::new(Client::default()), Location::new(0, 1), "client");
-        let cid = k.fresh_call_id();
-        let mut msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let mut msg = ping(&mut k);
         msg.reply_to = Some(client.element());
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
@@ -2082,19 +1955,8 @@ mod tests {
             42,
         );
         k.faults_mut().set_reorder(1.0, 5_000);
-        let echo = k.add_endpoint(
-            Box::new(Echo::new(Loid::instance(16, 1))),
-            Location::new(0, 0),
-            "echo",
-        );
-        let cid = k.fresh_call_id();
-        let msg = Message::call(
-            cid,
-            Loid::instance(16, 1),
-            "Ping",
-            vec![],
-            InvocationEnv::anonymous(),
-        );
+        let echo = add_echo(&mut k);
+        let msg = ping(&mut k);
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
         assert_eq!(k.meta(echo).unwrap().received, 1);

@@ -175,8 +175,8 @@ impl Ctx<'_> {
     /// verdicts, notes, sheds), the always-on flight recorder.
     /// Allocation-free: the label is a pre-interned [`Sym`].
     pub fn flight(&mut self, kind: KernelEventKind, label: Sym, detail: u64) {
-        self.inner
-            .observe(Observation::fact(kind, self.self_id.0, detail, 0, label));
+        let ev = Observation::fact(kind, self.self_id.0, detail, 0, label);
+        self.inner.observe(ev);
     }
 
     /// Should a deadline sweep that expired continuations dump the

@@ -2,12 +2,13 @@
 //!
 //! Every event the kernel reports goes through [`Inner::observe`], the
 //! only caller of `journal.note`, `flight.record` and `sink.record`
-//! (`tools/lint_hotpath.sh` holds it single). The sinks an event reaches
-//! are its kind's [`legion_core::event::Route`] intersected with what
-//! the call site carries: a [`Fact`] for the journal and the flight
-//! ring, a [`Span`] for the span stream.
+//! (`tools/lint_hotpath.sh` holds it single). An event reaches the sinks
+//! its kind's [`legion_core::event::Route`] selects *and* its call site
+//! carries a payload for: a fact for the journal and the flight ring, a
+//! span for the span stream.
 
-use super::Inner;
+use super::{kind_sym, Inner};
+use crate::message::Message;
 use legion_core::event::{KernelEventKind, SpanRoute};
 use legion_core::symbol::Sym;
 use legion_core::trace::{SpanId, TraceContext};
@@ -16,9 +17,10 @@ use legion_obs::span::SpanEvent;
 use std::fmt;
 
 /// A journal/flight label: a pre-interned symbol (method, counter or
-/// verdict name) or a plain string (endpoint names, empty labels).
-/// The journal stores labels as strings, never `Sym` ids — intern order
-/// is process-local — so a symbol is resolved only when a journal is on.
+/// verdict name) or a plain string (endpoint names, empty labels). The
+/// journal stores labels as strings, never `Sym` ids — intern order is
+/// process-local — so a symbol is resolved only while a journal is on.
+/// Flight-routed kinds always carry a symbol.
 #[derive(Clone, Copy)]
 pub(crate) enum Label<'a> {
     Sym(Sym),
@@ -37,33 +39,20 @@ impl<'a> From<&'a str> for Label<'a> {
     }
 }
 
-/// The journal/flight half of an event: kind-specific details `(a, b)`
-/// and a label.
-pub(crate) struct Fact<'a> {
-    a: u64,
-    b: u64,
-    label: Label<'a>,
-}
-
-/// The span half of an event. The label is formatted only when the span
-/// is actually recorded, so untraced runs build no strings.
-pub(crate) struct Span<'a> {
-    trace: TraceContext,
-    parent: SpanId,
-    label: fmt::Arguments<'a>,
-}
-
-/// One kernel event on its way to the sinks.
+/// One kernel event on its way to the sinks: the journal/flight fact
+/// `(a, b, label)` and the span `(context, parent, label)`, each absent
+/// when the call site has nothing for that sink. The span label is
+/// formatted only if the span is recorded, so untraced runs build no
+/// strings.
 pub(crate) struct Observation<'a> {
     kind: KernelEventKind,
     endpoint: u64,
-    fact: Option<Fact<'a>>,
-    span: Option<Span<'a>>,
+    fact: Option<(u64, u64, Label<'a>)>,
+    span: Option<(TraceContext, SpanId, fmt::Arguments<'a>)>,
 }
 
 impl<'a> Observation<'a> {
-    /// An event for the journal and (if routed) the flight ring.
-    #[inline]
+    /// An event for the journal and, if routed there, the flight ring.
     pub(crate) fn fact(
         kind: KernelEventKind,
         endpoint: u64,
@@ -74,17 +63,17 @@ impl<'a> Observation<'a> {
         Observation {
             kind,
             endpoint,
-            fact: Some(Fact {
-                a,
-                b,
-                label: label.into(),
-            }),
+            fact: Some((a, b, label.into())),
             span: None,
         }
     }
 
+    /// A verdict about `msg`: `a` is its call id, the label its kind.
+    pub(crate) fn message(kind: KernelEventKind, endpoint: u64, msg: &Message, b: u64) -> Self {
+        Self::fact(kind, endpoint, msg.id.0, b, Label::Sym(kind_sym(msg)))
+    }
+
     /// An event for the span stream only.
-    #[inline]
     pub(crate) fn span(
         kind: KernelEventKind,
         endpoint: u64,
@@ -96,62 +85,40 @@ impl<'a> Observation<'a> {
             kind,
             endpoint,
             fact: None,
-            span: Some(Span {
-                trace,
-                parent,
-                label,
-            }),
+            span: Some((trace, parent, label)),
         }
     }
 
-    /// Also record the event as a span under `trace` (a root-parented
-    /// span event of the hop or handler it belongs to).
-    #[inline]
+    /// Also record the event as a span under `trace`.
     pub(crate) fn traced(mut self, trace: TraceContext, label: fmt::Arguments<'a>) -> Self {
-        self.span = Some(Span {
-            trace,
-            parent: SpanId::NONE,
-            label,
-        });
+        self.span = Some((trace, SpanId::NONE, label));
         self
     }
 }
 
 impl Inner {
-    /// Emit one kernel event at the current virtual time to every sink
-    /// its route and payload select:
-    ///
-    /// * the journal, while a session is live (the `is_on` gate keeps
-    ///   the disabled path at one tag check and defers `Sym` resolution);
-    /// * the flight ring, stamped with the journal seq (0 when off); the
-    ///   flight `detail` is the journal's `b` (extra ns) for delays and
-    ///   duplicates and `a` otherwise;
-    /// * the span stream, while the sink is enabled — inside an active
-    ///   trace for [`SpanRoute::Traced`] kinds, always for fault kinds.
+    /// Emit one kernel event at the current virtual time to the journal
+    /// (while a session is live), the flight ring (stamped with the
+    /// journal seq, 0 when off; `detail` is the journal's `b`, the extra
+    /// ns, for delays and duplicates and `a` otherwise) and the span
+    /// stream (while the sink is on, per the kind's [`SpanRoute`]).
     #[inline]
     pub(crate) fn observe(&mut self, ev: Observation<'_>) {
         let route = ev.kind.route();
-        if let Some(fact) = ev.fact {
+        if let Some((a, b, label)) = ev.fact {
             let mut seq = 0;
             if route.journal && self.journal.is_on() {
-                let label = match fact.label {
+                let text = match label {
                     Label::Sym(s) => s.as_str(),
                     Label::Str(s) => s,
                 };
-                seq = self.journal.note(
-                    self.now.as_nanos(),
-                    ev.kind,
-                    ev.endpoint,
-                    fact.a,
-                    fact.b,
-                    label,
-                );
+                let at = self.now.as_nanos();
+                seq = self.journal.note(at, ev.kind, ev.endpoint, a, b, text);
             }
-            // Flight-routed kinds always carry a symbol label.
-            if let (true, Label::Sym(label)) = (route.flight, fact.label) {
+            if let (true, Label::Sym(label)) = (route.flight, label) {
                 let detail = match ev.kind {
-                    KernelEventKind::Delay | KernelEventKind::Duplicate => fact.b,
-                    _ => fact.a,
+                    KernelEventKind::Delay | KernelEventKind::Duplicate => b,
+                    _ => a,
                 };
                 self.flight.record(FlightEvent {
                     at: self.now,
@@ -163,21 +130,21 @@ impl Inner {
                 });
             }
         }
-        if let Some(span) = ev.span {
+        if let Some((trace, parent, label)) = ev.span {
             let wanted = match route.span {
                 SpanRoute::Never => false,
-                SpanRoute::Traced => span.trace.is_active(),
+                SpanRoute::Traced => trace.is_active(),
                 SpanRoute::Always => true,
             };
             if wanted && self.sink.is_enabled() {
                 self.sink.record(SpanEvent {
-                    trace: span.trace.trace,
-                    span: span.trace.span,
-                    parent: span.parent,
+                    trace: trace.trace,
+                    span: trace.span,
+                    parent,
                     kind: ev.kind,
                     at: self.now,
                     endpoint: ev.endpoint,
-                    label: span.label.to_string(),
+                    label: label.to_string(),
                 });
             }
         }

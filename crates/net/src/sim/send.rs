@@ -51,7 +51,7 @@ pub(super) fn send_one(
     let refuse = |inner: &mut Inner, msg: &Message, why: &str| {
         inner.stats.refused += 1;
         inner.observe(
-            Observation::fact(KernelEventKind::Refuse, from_ep, msg.id.0, 0, kind_sym(msg))
+            Observation::message(KernelEventKind::Refuse, from_ep, msg, 0)
                 .traced(msg.env.trace, format_args!("{why}")),
         );
         false
@@ -88,7 +88,7 @@ pub(super) fn send_one(
     if verdict == Verdict::DropSilently {
         inner.stats.lost += 1;
         inner.observe(
-            Observation::fact(KernelEventKind::Drop, from_ep, msg.id.0, 0, kind_sym(&msg))
+            Observation::message(KernelEventKind::Drop, from_ep, &msg, 0)
                 .traced(msg.env.trace, format_args!("drop:silent")),
         );
         return true;
@@ -111,14 +111,8 @@ pub(super) fn send_one(
     if let Verdict::Delay { extra_ns, factor } = verdict {
         inner.note_count_sym(symbol::NET_DELAYED, 1);
         inner.observe(
-            Observation::fact(
-                KernelEventKind::Delay,
-                from_ep,
-                msg.id.0,
-                extra_ns,
-                kind_sym(&msg),
-            )
-            .traced(msg.env.trace, format_args!("delay:x{factor}+{extra_ns}ns")),
+            Observation::message(KernelEventKind::Delay, from_ep, &msg, extra_ns)
+                .traced(msg.env.trace, format_args!("delay:x{factor}+{extra_ns}ns")),
         );
     }
     inner.latency.record(effective);
@@ -137,14 +131,8 @@ pub(super) fn send_one(
     let copy = if let Some(extra_ns) = copy_after {
         inner.note_count_sym(symbol::NET_DUPLICATED, 1);
         inner.observe(
-            Observation::fact(
-                KernelEventKind::Duplicate,
-                from_ep,
-                msg.id.0,
-                extra_ns,
-                kind_sym(&msg),
-            )
-            .traced(trace, format_args!("dup:+{extra_ns}ns")),
+            Observation::message(KernelEventKind::Duplicate, from_ep, &msg, extra_ns)
+                .traced(trace, format_args!("dup:+{extra_ns}ns")),
         );
         Some((at.saturating_add(extra_ns), msg.clone()))
     } else {

@@ -140,14 +140,7 @@ pub fn summarize(events: &[SpanEvent]) -> Vec<TraceSummary> {
             | KernelEventKind::Delay
             | KernelEventKind::Dedup => s.notes.push((e.at, e.endpoint, e.label.clone())),
             // Kinds the routing table never sends to the span stream.
-            KernelEventKind::Attach
-            | KernelEventKind::Detach
-            | KernelEventKind::Start
-            | KernelEventKind::Inject
-            | KernelEventKind::Timeout
-            | KernelEventKind::HaVerdict
-            | KernelEventKind::Snapshot
-            | KernelEventKind::Shed => {}
+            _ => {}
         }
     }
     by_trace.into_values().collect()
