@@ -290,6 +290,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for (t, kind) in frozen {
+            assert_eq!(kind as u8, t, "{kind:?}: the enum's order is the tag order");
             assert_eq!(tag(kind), Some(t), "{kind:?}");
             assert_eq!(from_tag(t), Some(kind), "tag {t}");
             encode_body(&mut buf, 1, 2, kind, 3, 4, 5, "x");

@@ -445,15 +445,12 @@ impl SimKernel {
     /// Snapshot the profiler with endpoint names resolved (empty when
     /// profiling is off).
     pub fn profile(&self) -> Profile {
-        self.inner.profile.snapshot(|ep| self.endpoint_name(ep))
-    }
-
-    /// An endpoint's name for reports (`ep<N>` for unknown ids).
-    fn endpoint_name(&self, ep: u64) -> String {
-        self.slots
-            .get(ep as usize)
-            .map(|s| s.meta.name.clone())
-            .unwrap_or_else(|| format!("ep{ep}"))
+        self.inner.profile.snapshot(|ep| {
+            self.slots
+                .get(ep as usize)
+                .map(|s| s.meta.name.clone())
+                .unwrap_or_else(|| format!("ep{ep}"))
+        })
     }
 
     /// Turn on windowed latency-objective tracking.
@@ -477,7 +474,12 @@ impl SimKernel {
     /// Evaluate the collected SLO windows with endpoint names resolved.
     /// `None` when tracking is off.
     pub fn slo_report(&self) -> Option<SloReport> {
-        self.inner.slo.report(|ep| self.endpoint_name(ep))
+        self.inner.slo.report(|ep| {
+            self.slots
+                .get(ep as usize)
+                .map(|s| s.meta.name.clone())
+                .unwrap_or_else(|| format!("ep{ep}"))
+        })
     }
 
     /// A JSON-exportable snapshot of everything the kernel measures.
@@ -577,7 +579,12 @@ impl SimKernel {
     /// their `on_start` already ran). Returns `false` if the endpoint is
     /// not alive.
     pub fn set_timer(&mut self, to: EndpointId, delay_ns: u64, tag: u64) -> bool {
-        if !self.is_live(to.0 as usize) {
+        let alive = self
+            .slots
+            .get(to.0 as usize)
+            .map(|s| s.meta.alive && s.ep.is_some())
+            .unwrap_or(false);
+        if !alive {
             return false;
         }
         let at = self.inner.now.saturating_add(delay_ns);
@@ -723,7 +730,12 @@ impl SimKernel {
         self.inner.now = ev.at;
         self.inner.stats.events += 1;
         let idx = ev.to.0 as usize;
-        if !self.is_live(idx) {
+        let alive = self
+            .slots
+            .get(idx)
+            .map(|s| s.meta.alive && s.ep.is_some())
+            .unwrap_or(false);
+        if !alive {
             if let EventKind::Deliver(msg) = &ev.kind {
                 self.inner.stats.dead_letters += 1;
                 let label = kind_sym(msg);
@@ -849,13 +861,6 @@ impl SimKernel {
         }
         self.inner.now = self.inner.now.max(deadline);
         n
-    }
-
-    /// Is slot `idx` attached, alive, and holding its endpoint?
-    fn is_live(&self, idx: usize) -> bool {
-        self.slots
-            .get(idx)
-            .is_some_and(|s| s.meta.alive && s.ep.is_some())
     }
 
     /// Number of endpoints ever attached (dead slots included).
