@@ -377,11 +377,6 @@ pub fn main() {
         t2.print();
         println!();
     }
-    if want("e14") {
-        let (clients, ops) = if opts.quick { (16, 200) } else { (64, 1000) };
-        exp::e14_parallel::table(&exp::e14_parallel::run(clients, ops, 256, 8)).print();
-        println!();
-    }
     if want("e15") {
         exp::e15_crash_recovery::table(&exp::e15_crash_recovery::run(scale, seed)).print();
         println!();

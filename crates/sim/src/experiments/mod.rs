@@ -19,7 +19,6 @@ pub mod e10_replication;
 pub mod e11_object_model;
 pub mod e12_scalability;
 pub mod e13_security;
-pub mod e14_parallel;
 pub mod e15_crash_recovery;
 pub mod e16_chaos;
 pub mod e17_scale;

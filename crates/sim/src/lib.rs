@@ -13,7 +13,6 @@
 pub mod cli;
 pub mod experiments;
 pub mod obs_run;
-pub mod parallel;
 pub mod report;
 pub mod run_report;
 pub mod system;
