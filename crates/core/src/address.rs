@@ -191,7 +191,8 @@ impl AddressSemantics {
     /// Given `n` available elements, how many a single send fans out to.
     /// `FirstReachable` counts as one attempt (retries are accounted
     /// separately by the transport).
-    pub fn fanout(&self, n: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn fanout(&self, n: usize) -> usize {
         match self {
             AddressSemantics::Single => usize::from(n > 0),
             AddressSemantics::SendToAll => n,
@@ -230,12 +231,14 @@ impl ObjectAddress {
     }
 
     /// Is the element list empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.elements.is_empty()
     }
 
     /// Number of elements (replica count).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.elements.len()
     }
 

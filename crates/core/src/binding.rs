@@ -37,7 +37,8 @@ impl Binding {
     }
 
     /// A binding valid for `ttl_ns` simulated nanoseconds from `now`.
-    pub fn with_ttl(loid: Loid, address: ObjectAddress, now: SimTime, ttl_ns: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_ttl(loid: Loid, address: ObjectAddress, now: SimTime, ttl_ns: u64) -> Self {
         Binding {
             loid,
             address,

@@ -14,11 +14,9 @@
 //! per-class state and rules.
 
 use crate::address::ObjectAddress;
-use crate::binding::Binding;
 use crate::error::{CoreError, CoreResult};
 use crate::interface::{Interface, MethodSignature, ParamType};
 use crate::loid::{Loid, LoidAllocator};
-use crate::time::Expiry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -243,11 +241,6 @@ impl LogicalTable {
         self.rows.get(loid)
     }
 
-    /// Fetch a row mutably.
-    pub fn get_mut(&mut self, loid: &Loid) -> Option<&mut TableEntry> {
-        self.rows.get_mut(loid)
-    }
-
     /// Remove a row (the object was deleted).
     pub fn remove(&mut self, loid: &Loid) -> Option<TableEntry> {
         self.rows.remove(loid)
@@ -286,11 +279,6 @@ impl LogicalTable {
             }
             None => false,
         }
-    }
-
-    /// Iterate over rows in LOID order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Loid, &TableEntry)> {
-        self.rows.iter()
     }
 }
 
@@ -409,20 +397,25 @@ impl ClassObject {
     /// if its Object Address is currently known (§3.7). A `None` means the
     /// object is Inert or its address is unknown — the caller must go
     /// through a Magistrate in the row's Current Magistrate List.
-    pub fn get_binding(&self, target: &Loid) -> CoreResult<Option<Binding>> {
+    #[cfg(test)]
+    pub(crate) fn get_binding(&self, target: &Loid) -> CoreResult<Option<crate::binding::Binding>> {
         let entry = self
             .table
             .get(target)
             .ok_or(CoreError::UnknownLoid(*target))?;
-        Ok(entry.address.clone().map(|address| Binding {
-            loid: *target,
-            address,
-            expiry: Expiry::Never,
-        }))
+        Ok(entry
+            .address
+            .clone()
+            .map(|address| crate::binding::Binding {
+                loid: *target,
+                address,
+                expiry: crate::time::Expiry::Never,
+            }))
     }
 
     /// How many LOIDs this class has handed out.
-    pub fn instances_allocated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn instances_allocated(&self) -> u64 {
         self.allocator.allocated()
     }
 }

@@ -61,16 +61,6 @@ impl CloneSet {
         }
     }
 
-    /// The hot class.
-    pub fn original(&self) -> Loid {
-        self.original
-    }
-
-    /// The clones, in creation order.
-    pub fn clones(&self) -> &[Loid] {
-        &self.clones
-    }
-
     /// Total members (original + clones).
     pub fn len(&self) -> usize {
         1 + self.clones.len()
@@ -112,12 +102,14 @@ impl CloneSet {
     }
 
     /// Requests dispatched per member (original first).
-    pub fn load(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn load(&self) -> &[u64] {
         &self.dispatched
     }
 
     /// The maximum per-member load — the bottleneck measure of §5.2.2.
-    pub fn max_load(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max_load(&self) -> u64 {
         self.dispatched.iter().copied().max().unwrap_or(0)
     }
 }

@@ -71,12 +71,14 @@ impl Context {
     }
 
     /// Number of direct entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Is the context empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -163,7 +165,8 @@ impl Context {
     }
 
     /// Direct entry names, in order.
-    pub fn names(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> Vec<&str> {
         self.entries.keys().map(|s| s.as_str()).collect()
     }
 

@@ -100,9 +100,8 @@ impl fmt::Display for ArgsError {
 pub trait FromArg: Sized {
     /// The IDL parameter type this Rust type decodes from.
     const PARAM: ParamType;
-    /// Decode, honouring the same conformance rules as
-    /// [`LegionValue::conforms_to`] (a non-negative `Int` conforms to
-    /// `Uint`).
+    /// Decode, honouring the IDL conformance rules (a non-negative `Int`
+    /// conforms to `Uint`).
     fn from_value(v: &LegionValue) -> Option<Self>;
 }
 
@@ -426,8 +425,8 @@ impl<H> MethodEntry<H> {
 ///
 /// Keyed by interned [`Sym`]: resolving a method carried by a message
 /// (already a `Sym`) compares `u32`s instead of strings and never
-/// allocates. Name-ordered views ([`MethodTable::names`],
-/// [`MethodTable::interface`]) sort at render time.
+/// allocates. The name-ordered view ([`MethodTable::interface`]) sorts
+/// at render time.
 #[derive(Debug, Default)]
 pub struct MethodTable<H> {
     owner: Loid,
@@ -441,11 +440,6 @@ impl<H> MethodTable<H> {
             owner,
             entries: BTreeMap::new(),
         }
-    }
-
-    /// The provenance LOID recorded on derived interface entries.
-    pub fn owner(&self) -> Loid {
-        self.owner
     }
 
     /// Register a method. Registering the same name twice replaces the
@@ -477,21 +471,9 @@ impl<H> MethodTable<H> {
     }
 
     /// Number of registered methods.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Registered method names, in name order (the entries are stored in
-    /// intern order, so this sorts).
-    pub fn names(&self) -> impl Iterator<Item = &'static str> {
-        let mut names: Vec<&'static str> = self.entries.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names.into_iter()
     }
 
     /// Derive the endpoint's run-time [`Interface`] from the registered
@@ -615,12 +597,14 @@ impl<K: Ord, C> Continuations<K, C> {
     }
 
     /// The earliest recorded deadline, if any continuation has one.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.deadlines.values().min().copied()
     }
 
     /// Is a continuation waiting on `key`?
-    pub fn contains(&self, key: &K) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
 
@@ -635,7 +619,8 @@ impl<K: Ord, C> Continuations<K, C> {
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> ContinuationStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> ContinuationStats {
         self.stats
     }
 }

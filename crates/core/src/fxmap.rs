@@ -17,10 +17,10 @@
 //! hash-map iteration order anyway (with `RandomState` that order already
 //! varied run to run).
 //!
-//! Use the [`FxHashMap`]/[`FxHashSet`] aliases for hot-path maps; keep
+//! Use the [`FxHashMap`] alias for hot-path maps; keep
 //! `std`'s default for anything that could ever key on external input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, forced odd: the classic Fibonacci-hashing multiplier.
@@ -102,7 +102,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` hashed through [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[cfg(test)]
+pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

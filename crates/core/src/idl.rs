@@ -290,7 +290,8 @@ pub fn parse(src: &str) -> CoreResult<Vec<IdlInterface>> {
 /// i.e. `interface` becomes `mentat class`; everything else matches the
 /// CORBA-flavoured grammar, so both front ends produce identical
 /// [`IdlInterface`] values.
-pub fn parse_mpl(src: &str) -> CoreResult<Vec<IdlInterface>> {
+#[cfg(test)]
+pub(crate) fn parse_mpl(src: &str) -> CoreResult<Vec<IdlInterface>> {
     let mut lexer = Lexer::new(src);
     let mut toks = Vec::new();
     while let Some(t) = lexer.next_tok()? {

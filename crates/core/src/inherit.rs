@@ -14,9 +14,9 @@
 //!   first);
 //! * [`compose`] — rebuild a class's *effective* interface from scratch
 //!   out of every ancestor's own declarations (nearest definition wins);
-//! * [`find_ambiguities`] — detect method names that two unrelated bases
-//!   define with incompatible signatures and that the class itself does not
-//!   disambiguate.
+//! * `find_ambiguities` (test builds only) — detect method names that two
+//!   unrelated bases define with incompatible signatures and that the class
+//!   itself does not disambiguate.
 //!
 //! `ClassObject` maintains its effective interface incrementally
 //! (`Derive()` copies, `InheritFrom()` merges); [`compose`] is the
@@ -24,7 +24,9 @@
 //! consistency checks after bulk graph edits.
 
 use crate::error::CoreResult;
-use crate::interface::{Interface, MethodSignature};
+use crate::interface::Interface;
+#[cfg(test)]
+use crate::interface::MethodSignature;
 use crate::loid::Loid;
 use crate::relations::RelationGraph;
 use std::collections::BTreeMap;
@@ -42,7 +44,7 @@ pub fn resolution_order(graph: &RelationGraph, class: Loid) -> Vec<Loid> {
 /// The nearest declaration of each method (in [`resolution_order`]) wins;
 /// an incompatible duplicate further away is shadowed, exactly as a C++
 /// derived-class redefinition hides a base's. Unrelated-sibling conflicts
-/// are *not* errors here — use [`find_ambiguities`] to surface them.
+/// are *not* errors here.
 pub fn compose(graph: &RelationGraph, class: Loid, own: &BTreeMap<Loid, Interface>) -> Interface {
     let mut effective = Interface::new();
     for ancestor in resolution_order(graph, class) {
@@ -60,8 +62,9 @@ pub fn compose(graph: &RelationGraph, class: Loid, own: &BTreeMap<Loid, Interfac
 
 /// An ambiguity: two bases reachable from `class` declare `method` with
 /// incompatible signatures, and `class` itself does not redefine it.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ambiguity {
+pub(crate) struct Ambiguity {
     /// The ambiguous method name.
     pub method: String,
     /// The first declaring ancestor encountered.
@@ -78,7 +81,8 @@ pub struct Ambiguity {
 ///
 /// A class resolves an ambiguity by declaring the method itself — its own
 /// declaration shadows every ancestor and no ambiguity is reported.
-pub fn find_ambiguities(
+#[cfg(test)]
+pub(crate) fn find_ambiguities(
     graph: &RelationGraph,
     class: Loid,
     own: &BTreeMap<Loid, Interface>,

@@ -197,7 +197,8 @@ impl Interface {
     }
 
     /// The provenance (defining class) of a method, if present.
-    pub fn provider(&self, name: &str) -> Option<Loid> {
+    #[cfg(test)]
+    pub(crate) fn provider(&self, name: &str) -> Option<Loid> {
         self.methods.get(name).map(|(_, p)| *p)
     }
 
@@ -207,7 +208,8 @@ impl Interface {
     }
 
     /// Remove a method (used to model "possibly empty member functions").
-    pub fn remove(&mut self, name: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, name: &str) -> bool {
         self.methods.remove(name).is_some()
     }
 
@@ -283,7 +285,8 @@ impl Interface {
 
     /// A stable 64-bit hash of the interface shape, used by the persistence
     /// layer to detect interface drift between an OPR and its class.
-    pub fn shape_hash(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shape_hash(&self) -> u64 {
         // FNV-1a over the canonical textual form: deterministic across
         // processes (unlike `std::hash::RandomState`).
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -77,19 +77,6 @@ impl Loid {
         public_key: [0; PUBLIC_KEY_BYTES],
     };
 
-    /// Construct a LOID with an explicit key.
-    pub const fn new(
-        class_id: u64,
-        class_specific: u64,
-        public_key: [u8; PUBLIC_KEY_BYTES],
-    ) -> Self {
-        Loid {
-            class_id: ClassId(class_id),
-            class_specific,
-            public_key,
-        }
-    }
-
     /// Construct a *class object* LOID (Class Specific = 0) with a key
     /// derived deterministically from the class id.
     pub const fn class_object(class_id: u64) -> Self {
@@ -238,13 +225,9 @@ impl LoidAllocator {
         }
     }
 
-    /// The class this allocator serves.
-    pub fn class_id(&self) -> ClassId {
-        self.class_id
-    }
-
     /// How many LOIDs have been handed out so far.
-    pub fn allocated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> u64 {
         self.next_specific - 1
     }
 

@@ -143,7 +143,8 @@ impl LegionClassAuthority {
     /// cloning, §5.2.2: "new instantiation and derivation requests are
     /// passed to the cloned object, making it responsible for the new
     /// objects").
-    pub fn reassign(&mut self, target: Loid, new_owner: Loid) -> CoreResult<()> {
+    #[cfg(test)]
+    pub(crate) fn reassign(&mut self, target: Loid, new_owner: Loid) -> CoreResult<()> {
         if !new_owner.is_class() {
             return Err(CoreError::NotAClass(new_owner));
         }
@@ -157,22 +158,26 @@ impl LegionClassAuthority {
     }
 
     /// Drop the pair for a deleted class.
-    pub fn forget(&mut self, target: &Loid) {
+    #[cfg(test)]
+    pub(crate) fn forget(&mut self, target: &Loid) {
         self.responsible_for.remove(target);
     }
 
     /// Number of recorded responsibility pairs.
-    pub fn pair_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pair_count(&self) -> usize {
         self.responsible_for.len()
     }
 
     /// Traffic counters.
-    pub fn stats(&self) -> AuthorityStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> AuthorityStats {
         self.stats
     }
 
     /// Reset traffic counters (between experiment phases).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = AuthorityStats::default();
     }
 }

@@ -162,13 +162,15 @@ impl ObjectModel {
     }
 
     /// The LegionClass authority.
-    pub fn authority(&self) -> &LegionClassAuthority {
+    #[cfg(test)]
+    pub(crate) fn authority(&self) -> &LegionClassAuthority {
         &self.authority
     }
 
     /// Mutable access to the authority (for experiment counters and the
     /// message-driven system that proxies requests into it).
-    pub fn authority_mut(&mut self) -> &mut LegionClassAuthority {
+    #[cfg(test)]
+    pub(crate) fn authority_mut(&mut self) -> &mut LegionClassAuthority {
         &mut self.authority
     }
 
@@ -177,14 +179,10 @@ impl ObjectModel {
         self.classes.len()
     }
 
-    /// All class LOIDs in order.
-    pub fn class_loids(&self) -> Vec<Loid> {
-        self.classes.keys().copied().collect()
-    }
-
     /// The interface exported by `loid` — its class's interface for an
     /// instance, its own effective interface for a class.
-    pub fn interface_of(&self, loid: &Loid) -> CoreResult<&Interface> {
+    #[cfg(test)]
+    pub(crate) fn interface_of(&self, loid: &Loid) -> CoreResult<&Interface> {
         if loid.is_class() {
             Ok(&self.class(loid)?.interface)
         } else {
@@ -304,7 +302,8 @@ impl ObjectModel {
     /// Deleting a class that still has instances or subclasses is refused —
     /// the caller must delete the children first (stale bindings to them
     /// could otherwise never be refreshed, §4.1.4).
-    pub fn delete(&mut self, target: Loid) -> CoreResult<()> {
+    #[cfg(test)]
+    pub(crate) fn delete(&mut self, target: Loid) -> CoreResult<()> {
         if target.is_class() {
             let c = self.class(&target)?;
             if !c.table.is_empty() {
@@ -347,11 +346,6 @@ impl ObjectModel {
             inherit::verify_composition(&self.graph, *loid, &self.own_methods, &class.interface)?;
         }
         Ok(())
-    }
-
-    /// The methods `class` declares itself (not inherited).
-    pub fn own_methods_of(&self, class: &Loid) -> Option<&Interface> {
-        self.own_methods.get(class)
     }
 }
 

@@ -158,11 +158,6 @@ impl GenericObject {
         self.state.get(key)
     }
 
-    /// Number of state fields.
-    pub fn state_len(&self) -> usize {
-        self.state.len()
-    }
-
     /// The mutation counter.
     pub fn version(&self) -> u64 {
         self.version

@@ -119,7 +119,8 @@ impl RelationGraph {
     /// deleted). Instances and subclasses of a removed class lose their
     /// is-a / kind-of edges — the model layer is responsible for deleting
     /// them first if cascade semantics are wanted.
-    pub fn remove(&mut self, loid: &Loid) {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, loid: &Loid) {
         if let Some(class) = self.is_a.remove(loid) {
             if let Some(set) = self.instances.get_mut(&class) {
                 set.remove(loid);
@@ -162,7 +163,8 @@ impl RelationGraph {
     }
 
     /// Direct subclasses of `class`.
-    pub fn subclasses_of(&self, class: &Loid) -> Vec<Loid> {
+    #[cfg(test)]
+    pub(crate) fn subclasses_of(&self, class: &Loid) -> Vec<Loid> {
         self.subclasses
             .get(class)
             .map(|s| s.iter().copied().collect())
@@ -190,7 +192,8 @@ impl RelationGraph {
     }
 
     /// Is `descendant` transitively kind-of `ancestor`? (Reflexive.)
-    pub fn is_kind_of(&self, descendant: Loid, ancestor: Loid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_kind_of(&self, descendant: Loid, ancestor: Loid) -> bool {
         let mut cur = descendant;
         loop {
             if cur == ancestor {
@@ -277,11 +280,6 @@ impl RelationGraph {
     /// Total number of recorded is-a edges.
     pub fn instance_count(&self) -> usize {
         self.is_a.len()
-    }
-
-    /// Total number of recorded kind-of edges.
-    pub fn class_count(&self) -> usize {
-        self.kind_of.len()
     }
 }
 

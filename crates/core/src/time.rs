@@ -31,7 +31,8 @@ impl SimTime {
 
     /// Construct from whole simulated microseconds.
     #[inline]
-    pub const fn from_micros(us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 

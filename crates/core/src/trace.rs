@@ -46,7 +46,8 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// Is this a real span id?
-    pub fn is_some(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_some(self) -> bool {
         self.0 != 0
     }
 }

@@ -112,7 +112,8 @@ impl LegionValue {
     /// Does this value conform to `ty`? Lists conform structurally
     /// (every element checked against `List`'s erased element type —
     /// Legion's IDL subset uses homogeneous erased lists).
-    pub fn conforms_to(&self, ty: &ParamType) -> bool {
+    #[cfg(test)]
+    pub(crate) fn conforms_to(&self, ty: &ParamType) -> bool {
         *ty == ParamType::Any
             || self.param_type() == *ty
             || matches!((self, ty), (LegionValue::Int(i), ParamType::Uint) if *i >= 0)

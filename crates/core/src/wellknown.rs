@@ -40,7 +40,8 @@ pub const LEGION_BINDING_AGENT: Loid = Loid::class_object(LEGION_BINDING_AGENT_C
 /// All core class LOIDs, in bootstrap order (paper §4.2.1: the Abstract
 /// class objects are started exactly once, LegionObject first since
 /// everything eventually derives from it).
-pub const CORE_CLASSES: [Loid; 5] = [
+#[cfg(test)]
+pub(crate) const CORE_CLASSES: [Loid; 5] = [
     LEGION_OBJECT,
     LEGION_CLASS,
     LEGION_HOST,
@@ -54,7 +55,8 @@ pub fn is_core_class(loid: &Loid) -> bool {
 }
 
 /// Human-readable name for a core class LOID, if it is one.
-pub fn core_class_name(loid: &Loid) -> Option<&'static str> {
+#[cfg(test)]
+pub(crate) fn core_class_name(loid: &Loid) -> Option<&'static str> {
     if !loid.is_class() {
         return None;
     }

@@ -27,7 +27,8 @@ pub struct Backoff {
 impl Backoff {
     /// A doubling schedule: `base_ns`, clamped at `max_delay_ns`, for
     /// `max_attempts` retries.
-    pub fn new(base_ns: u64, max_delay_ns: u64, max_attempts: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(base_ns: u64, max_delay_ns: u64, max_attempts: u32) -> Self {
         Backoff {
             base_ns,
             factor: 2,
@@ -53,7 +54,8 @@ impl Backoff {
     }
 
     /// Total virtual time spent if every retry is used.
-    pub fn worst_case_total_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn worst_case_total_ns(&self) -> u64 {
         (0..self.max_attempts)
             .filter_map(|a| self.delay_ns(a))
             .fold(0u64, u64::saturating_add)

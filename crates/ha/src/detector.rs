@@ -62,7 +62,8 @@ impl FailureDetector {
     }
 
     /// Stop monitoring `host` (e.g. after its objects were recovered).
-    pub fn deregister(&mut self, host: &Loid) {
+    #[cfg(test)]
+    pub(crate) fn deregister(&mut self, host: &Loid) {
         self.hosts.remove(host);
     }
 
@@ -107,23 +108,15 @@ impl FailureDetector {
     }
 
     /// Current health of `host`, if monitored.
-    pub fn health(&self, host: &Loid) -> Option<Health> {
+    #[cfg(test)]
+    pub(crate) fn health(&self, host: &Loid) -> Option<Health> {
         self.hosts.get(host).map(|m| m.health)
     }
 
     /// Number of monitored hosts.
-    pub fn monitored(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn monitored(&self) -> usize {
         self.hosts.len()
-    }
-
-    /// The heartbeat period this detector expects.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
-    /// Name of the active suspicion policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 }
 

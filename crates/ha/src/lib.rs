@@ -39,5 +39,5 @@ pub mod recovery;
 
 pub use backoff::Backoff;
 pub use detector::{FailureDetector, Transition};
-pub use policy::{FixedTimeout, Health, MissThreshold, SuspicionPolicy};
+pub use policy::{Health, MissThreshold, SuspicionPolicy};
 pub use recovery::RecoveryTracker;

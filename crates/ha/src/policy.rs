@@ -19,16 +19,7 @@ pub enum Health {
     Dead,
 }
 
-impl Health {
-    /// Short lower-case label (for counters and span notes).
-    pub fn label(self) -> &'static str {
-        match self {
-            Health::Alive => "alive",
-            Health::Suspect => "suspect",
-            Health::Dead => "dead",
-        }
-    }
-}
+impl Health {}
 
 /// A pluggable rule classifying heartbeat silence.
 ///
@@ -86,14 +77,16 @@ impl SuspicionPolicy for MissThreshold {
 /// Declare Suspect/Dead after fixed absolute silences, ignoring the
 /// heartbeat period. Useful when the deployment wants a hard SLA on
 /// detection latency regardless of heartbeat tuning.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct FixedTimeout {
+pub(crate) struct FixedTimeout {
     /// Silence before Suspect (virtual ns).
     pub suspect_ns: u64,
     /// Silence before Dead (virtual ns). Must be ≥ `suspect_ns`.
     pub dead_ns: u64,
 }
 
+#[cfg(test)]
 impl SuspicionPolicy for FixedTimeout {
     fn classify(&self, silence_ns: u64, _interval_ns: u64) -> Health {
         if silence_ns >= self.dead_ns {

@@ -3,7 +3,6 @@
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::value::LegionValue;
-use legion_net::message::Message;
 
 /// Host → Magistrate liveness report. Args: `[Loid(host), Uint(running)]`
 /// where `running` is the host's current active-object count (a cheap
@@ -17,7 +16,8 @@ pub fn heartbeat_args(host: Loid, running: usize) -> Vec<LegionValue> {
 }
 
 /// Parse a `Heartbeat` call's arguments.
-pub fn parse_heartbeat(msg: &Message) -> Option<(Loid, u64)> {
+#[cfg(test)]
+pub(crate) fn parse_heartbeat(msg: &legion_net::message::Message) -> Option<(Loid, u64)> {
     match msg.args() {
         [LegionValue::Loid(host), LegionValue::Uint(running)] => Some((*host, *running)),
         _ => None,
@@ -28,7 +28,7 @@ pub fn parse_heartbeat(msg: &Message) -> Option<(Loid, u64)> {
 mod tests {
     use super::*;
     use legion_core::env::InvocationEnv;
-    use legion_net::message::CallId;
+    use legion_net::message::{CallId, Message};
 
     #[test]
     fn heartbeat_args_round_trip() {

@@ -8,7 +8,7 @@
 //! flight-recorder-style context window from each journal.
 
 use crate::journal::{index, render_context, RecordSlice};
-use crate::record::{decode_body, JournalError};
+use crate::record::JournalError;
 use legion_persist::checksum;
 
 /// Radius of the rendered context windows.
@@ -144,11 +144,14 @@ fn context_or_end(data: &[u8], slices: &[RecordSlice], idx: usize) -> String {
 
 /// The seq recorded inside journal `data`'s record at index `idx`
 /// (convenience for reporting).
-pub fn seq_at(data: &[u8], idx: usize) -> Result<Option<u64>, JournalError> {
+#[cfg(test)]
+pub(crate) fn seq_at(data: &[u8], idx: usize) -> Result<Option<u64>, JournalError> {
     let (_, slices) = index(data)?;
     match slices.get(idx) {
         None => Ok(None),
-        Some(s) => Ok(Some(decode_body(s.body(data), s.offset)?.seq)),
+        Some(s) => Ok(Some(
+            crate::record::decode_body(s.body(data), s.offset)?.seq,
+        )),
     }
 }
 

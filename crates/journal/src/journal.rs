@@ -147,8 +147,8 @@ pub fn render_context(data: &[u8], slices: &[RecordSlice], center: usize, radius
 /// The append-only journal writer.
 ///
 /// `append` is infallible on the hot path: the first sink error is
-/// latched and surfaced by [`JournalWriter::error`] / `finish`-time
-/// checks rather than plumbed through the kernel. Encoding reuses two
+/// latched and surfaced by [`JournalWriter::finish`] rather than plumbed
+/// through the kernel. Encoding reuses two
 /// internal buffers, so steady-state appends do not allocate.
 pub struct JournalWriter {
     sink: Box<dyn JournalSink>,
@@ -191,7 +191,8 @@ impl JournalWriter {
     }
 
     /// The first sink error, if any occurred.
-    pub fn error(&self) -> Option<&JournalError> {
+    #[cfg(test)]
+    pub(crate) fn error(&self) -> Option<&JournalError> {
         self.error.as_ref()
     }
 

@@ -452,14 +452,6 @@ impl KernelJournal {
         }
     }
 
-    /// Access the snapshots of a recording session.
-    pub fn snapshots(&self) -> Option<&SnapshotStore> {
-        match self {
-            KernelJournal::Record { snapshots, .. } => Some(snapshots),
-            _ => None,
-        }
-    }
-
     /// Finish the session: flush (record) or require full consumption
     /// (verify). Returns the summary; a verify-mode divergence is also
     /// surfaced via [`KernelJournal::divergence`] before the reset.

@@ -40,12 +40,14 @@ impl MemSink {
     }
 
     /// Bytes written so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.lock().expect("journal sink poisoned").len()
     }
 
     /// Has nothing been written?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

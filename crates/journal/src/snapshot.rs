@@ -107,17 +107,20 @@ impl SnapshotStore {
     }
 
     /// The most recent snapshot at or before virtual time `t`.
-    pub fn latest_at_or_before(&self, t: u64) -> Option<&SnapshotMeta> {
+    #[cfg(test)]
+    pub(crate) fn latest_at_or_before(&self, t: u64) -> Option<&SnapshotMeta> {
         self.snaps.iter().rev().find(|s| s.at <= t)
     }
 
     /// The backing chunk store.
-    pub fn blobs(&self) -> &MemBlobStore {
+    #[cfg(test)]
+    pub(crate) fn blobs(&self) -> &MemBlobStore {
         &self.blobs
     }
 
     /// Fetch one section of one snapshot.
-    pub fn section(&self, ordinal: u64, name: &str) -> Option<Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn section(&self, ordinal: u64, name: &str) -> Option<Vec<u8>> {
         let snap = self.snaps.get(ordinal as usize)?;
         let (_, id) = snap.sections.iter().find(|(n, _)| n == name)?;
         self.blobs.get(id)

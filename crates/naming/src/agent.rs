@@ -132,19 +132,9 @@ impl BindingAgentEndpoint {
         }
     }
 
-    /// Cache statistics (for experiments).
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// Cached binding count.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// The agent's configuration.
-    pub fn config(&self) -> &AgentConfig {
-        &self.cfg
     }
 
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {

@@ -32,7 +32,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit rate in `[0, 1]`; 0 when no lookups.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses + self.expired;
         if total == 0 {
             0.0
@@ -104,19 +105,9 @@ impl BindingCache {
         self.map.is_empty()
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Reset statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     // ----- linked-list plumbing ------------------------------------------
@@ -198,7 +189,8 @@ impl BindingCache {
     }
 
     /// Peek without touching LRU order or stats (for tests/inspection).
-    pub fn peek(&self, loid: &Loid) -> Option<&Binding> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, loid: &Loid) -> Option<&Binding> {
         self.map.get(loid).map(|&idx| &self.nodes[idx].binding)
     }
 
@@ -284,7 +276,8 @@ impl BindingCache {
     }
 
     /// Drop every entry.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
         self.free.clear();
@@ -293,7 +286,8 @@ impl BindingCache {
     }
 
     /// LOIDs currently cached, most recently used first.
-    pub fn loids_mru_order(&self) -> Vec<Loid> {
+    #[cfg(test)]
+    pub(crate) fn loids_mru_order(&self) -> Vec<Loid> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut cur = self.head;
         while cur != NIL {

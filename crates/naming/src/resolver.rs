@@ -10,7 +10,7 @@
 //! through a cached binding is refused, [`ClientResolver::report_stale`]
 //! evicts it and requests a refresh via the `GetBinding(binding)` overload.
 
-use crate::cache::{BindingCache, CacheStats};
+use crate::cache::BindingCache;
 use crate::protocol::{self, GET_BINDING};
 use legion_core::address::ObjectAddressElement;
 use legion_core::binding::Binding;
@@ -76,19 +76,9 @@ impl ClientResolver {
         self.cache_enabled = enabled;
     }
 
-    /// The owning object's LOID.
-    pub fn me(&self) -> Loid {
-        self.me
-    }
-
     /// Resolver statistics.
     pub fn stats(&self) -> ResolverStats {
         self.stats
-    }
-
-    /// Cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Look up a binding for `target`: local cache first, else ask the
@@ -216,17 +206,6 @@ impl ClientResolver {
             // The borrow-check prelude above returned `Err(msg)` for calls.
             Body::Call { .. } => unreachable!("checked to be a reply"),
         }
-    }
-
-    /// Insert a binding directly (e.g. received via `AddBinding`
-    /// propagation or carried in another reply).
-    pub fn learn(&mut self, binding: Binding) {
-        self.cache.insert(binding);
-    }
-
-    /// Evict a binding (e.g. on a class's eager invalidation broadcast).
-    pub fn forget(&mut self, loid: &Loid) {
-        self.cache.invalidate(loid);
     }
 
     /// Number of requests awaiting replies.

@@ -87,7 +87,8 @@ impl AdmissionQueue {
     }
 
     /// The configured capacity model.
-    pub fn config(&self) -> AdmissionConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> AdmissionConfig {
         self.cfg
     }
 
@@ -132,14 +133,16 @@ impl AdmissionQueue {
     }
 
     /// Backlog outstanding at `now_ns` (waiting + in service).
-    pub fn backlog_at(&self, now_ns: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn backlog_at(&self, now_ns: u64) -> u64 {
         self.busy_until_ns
             .saturating_sub(now_ns)
             .div_ceil(self.cfg.service_ns)
     }
 
     /// Is the server idle at `now_ns`?
-    pub fn idle_at(&self, now_ns: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn idle_at(&self, now_ns: u64) -> bool {
         self.busy_until_ns <= now_ns
     }
 }

@@ -32,7 +32,7 @@ use legion_core::dispatch::{
 use legion_core::error::CoreError;
 use legion_core::event::KernelEventKind;
 use legion_core::idl;
-use legion_core::interface::{Interface, MethodSignature, ParamType};
+use legion_core::interface::{MethodSignature, ParamType};
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::value::LegionValue;
@@ -151,9 +151,8 @@ pub fn insert_pending<E>(
 /// Each expiry bumps the `net.timeout_expired` counter (surfaced as
 /// [`MetricsSnapshot::timeouts_expired`](crate::metrics::MetricsSnapshot))
 /// and records a `Timeout` flight event carrying the expired call id; a
-/// sweep that fired dumps the recorder tail to stderr unless
-/// [`SimKernel::set_flight_dump_on_sweep`](crate::sim::SimKernel::set_flight_dump_on_sweep)
-/// turned that off — both allocation-free on the no-expiry path.
+/// sweep that fired dumps the recorder tail to stderr — both
+/// allocation-free on the no-expiry path.
 ///
 /// `conts` is an accessor (not a borrow) so each continuation can receive
 /// `&mut E` without aliasing the store.
@@ -172,7 +171,7 @@ pub fn sweep_expired<E>(
         ctx.flight(KernelEventKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
         k(endpoint, ctx, Err(timeout_error(after_ns)));
     }
-    if n > 0 && ctx.flight_dump_on_sweep() {
+    if n > 0 {
         ctx.dump_flight("deadline sweep expired continuations", SWEEP_DUMP_TAIL);
     }
     n
@@ -215,28 +214,11 @@ pub struct MethodTable<E> {
     inner: ModelTable<Handler<E>>,
     gate: Option<fn(&E) -> &dyn InvocationGate>,
     prefix: &'static str,
-    interface: Interface,
     interface_idl: String,
     intrinsic_get_interface: bool,
 }
 
 impl<E> MethodTable<E> {
-    /// The interface derived from the registered methods — exactly what
-    /// `GetInterface()` replies (§3.4).
-    pub fn interface(&self) -> &Interface {
-        &self.interface
-    }
-
-    /// The rendered IDL of [`MethodTable::interface`].
-    pub fn interface_idl(&self) -> &str {
-        &self.interface_idl
-    }
-
-    /// The counter namespace (`magistrate`, `host`, …).
-    pub fn prefix(&self) -> &'static str {
-        self.prefix
-    }
-
     /// The registered signature of `method`, if any. Probes via
     /// [`Sym::try_lookup`], so asking about arbitrary names never grows
     /// the interner.
@@ -322,21 +304,6 @@ impl<E> TableBuilder<E> {
         self.push(sig, false, f)
     }
 
-    /// Register a method under an explicit signature (when the published
-    /// signature differs from `A::params()`, e.g. the paper's overloaded
-    /// `GetBinding(LOID|binding)`).
-    pub fn method_with_signature<A: FromArgs + 'static, F>(
-        self,
-        sig: MethodSignature,
-        gated: bool,
-        f: F,
-    ) -> Self
-    where
-        F: Fn(&mut E, &mut Ctx<'_>, &Message, A) -> Outcome + 'static,
-    {
-        self.push(sig, gated, f)
-    }
-
     /// Register the intrinsic `GetInterface()`: answered by the table
     /// itself with the interface derived from every registered method —
     /// including this one — so the published interface can never drift
@@ -352,13 +319,11 @@ impl<E> TableBuilder<E> {
 
     /// Derive the interface, render it, and freeze the table.
     pub fn seal(self) -> Rc<MethodTable<E>> {
-        let interface = self.inner.interface();
-        let interface_idl = idl::render(&self.name, &interface);
+        let interface_idl = idl::render(&self.name, &self.inner.interface());
         Rc::new(MethodTable {
             inner: self.inner,
             gate: self.gate,
             prefix: self.prefix,
-            interface,
             interface_idl,
             intrinsic_get_interface: self.intrinsic_get_interface,
         })

@@ -403,7 +403,8 @@ impl DedupState {
     }
 
     /// Deliveries rejected as duplicates or stragglers.
-    pub fn rejected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rejected(&self) -> u64 {
         self.rejected
     }
 

@@ -215,7 +215,8 @@ impl Counters {
     }
 
     /// Increment counter `name` by one.
-    pub fn bump(&mut self, name: &str) {
+    #[cfg(test)]
+    pub(crate) fn bump(&mut self, name: &str) {
         self.add(name, 1);
     }
 
@@ -244,12 +245,14 @@ impl Counters {
     }
 
     /// Number of distinct counter names.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Is the registry empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 }
@@ -307,12 +310,14 @@ impl WindowedCounters {
     }
 
     /// The window width (0 = disabled).
-    pub fn window_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn window_ns(&self) -> u64 {
         self.window_ns
     }
 
     /// Add `n` to `name` in the window containing `now`.
-    pub fn record(&mut self, now: SimTime, name: &str, n: u64) {
+    #[cfg(test)]
+    pub(crate) fn record(&mut self, now: SimTime, name: &str, n: u64) {
         if self.window_ns == 0 {
             return;
         }
@@ -331,12 +336,14 @@ impl WindowedCounters {
     }
 
     /// Iterate `(window start, counters)` in time order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &Counters)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, &Counters)> {
         self.windows.iter().map(|(t, c)| (SimTime(*t), c))
     }
 
     /// Number of non-empty windows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.windows.len()
     }
 

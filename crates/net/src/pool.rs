@@ -115,7 +115,8 @@ impl MessagePool {
     }
 
     /// Pooled buffer counts `(args, shells)` — observability for tests.
-    pub fn depths(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn depths(&self) -> (usize, usize) {
         (self.args.len(), self.shells.len())
     }
 }

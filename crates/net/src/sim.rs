@@ -28,10 +28,9 @@ use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::event::KernelEventKind;
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
-use legion_core::trace::{SpanId, TraceContext};
+use legion_core::trace::TraceContext;
 use legion_journal::{
     Divergence, JournalError, JournalSink, JournalSummary, KernelJournal, ReplayStart,
-    SnapshotStore,
 };
 use legion_obs::profile::{KernelProfiler, Profile};
 use legion_obs::sink::TraceSink;
@@ -57,9 +56,9 @@ pub use ctx::Ctx;
 
 pub use legion_obs::recorder::{FlightEvent, FlightRecorder};
 
-/// The flight recorder's former kind name, kept for callers outside this
-/// workspace (the benchmark harness); in-tree code names
-/// [`KernelEventKind`].
+/// The flight recorder's former kind name. Its only user is the
+/// `perfbench` harness (`perfbench/src/ledger.rs`), a workspace of its
+/// own; code in this workspace names [`KernelEventKind`].
 pub use legion_core::event::KernelEventKind as FlightKind;
 
 /// Identifies an endpoint attached to the kernel.
@@ -222,10 +221,6 @@ struct Inner {
     profile: KernelProfiler,
     /// Windowed latency-objective tracking (off by default).
     slo: SloTracker,
-    /// Dump the recorder tail to stderr when a deadline sweep expires
-    /// continuations (on by default — a fired sweep is a failure
-    /// worth post-mortem context).
-    flight_dump_on_sweep: bool,
     /// The event journal: off (default), recording every kernel ingress,
     /// or verifying a re-execution against a reference journal.
     journal: KernelJournal,
@@ -246,12 +241,7 @@ pub struct SendReport {
     pub accepted: usize,
 }
 
-impl SendReport {
-    /// Did at least one send get accepted?
-    pub fn any_accepted(&self) -> bool {
-        self.accepted > 0
-    }
-}
+impl SendReport {}
 
 /// The deterministic discrete-event kernel.
 pub struct SimKernel {
@@ -284,7 +274,6 @@ impl SimKernel {
                 flight: FlightRecorder::default(),
                 profile: KernelProfiler::disabled(),
                 slo: SloTracker::disabled(),
-                flight_dump_on_sweep: true,
                 journal: KernelJournal::default(),
                 pool: MessagePool::new(),
                 witness: Witness::default(),
@@ -358,26 +347,9 @@ impl SimKernel {
         &self.inner.latency
     }
 
-    /// Delivered-message latency by message kind (method name / `reply`),
-    /// rendered to names. The kernel keys the map by [`Sym`]; names are
-    /// materialized only here and at snapshot time.
-    pub fn kind_histograms(&self) -> BTreeMap<String, Histogram> {
-        render_by_kind(&self.inner.by_kind)
-    }
-
     /// Start recording span events into a bounded sink.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.inner.sink = TraceSink::with_capacity(capacity);
-    }
-
-    /// Is span recording on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.sink.is_enabled()
-    }
-
-    /// The trace sink (inspect without draining).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.inner.sink
     }
 
     /// Take every recorded span event, leaving tracing enabled.
@@ -388,19 +360,21 @@ impl SimKernel {
     /// Open a root span from outside the kernel (drivers, tests). The
     /// returned context can be stamped onto an injected message's
     /// environment. Returns [`TraceContext::NONE`] when tracing is off.
-    pub fn begin_trace(&mut self, label: &str) -> TraceContext {
+    #[cfg(test)]
+    pub(crate) fn begin_trace(&mut self, label: &str) -> TraceContext {
         self.inner
             .sink
             .begin(self.inner.now, SpanEvent::EXTERNAL, label)
     }
 
     /// Close a root span opened with [`SimKernel::begin_trace`].
-    pub fn end_trace(&mut self, tc: TraceContext, outcome: &str) {
+    #[cfg(test)]
+    pub(crate) fn end_trace(&mut self, tc: TraceContext, outcome: &str) {
         self.inner.observe(Observation::span(
             KernelEventKind::End,
             SpanEvent::EXTERNAL,
             tc,
-            SpanId::NONE,
+            legion_core::trace::SpanId::NONE,
             format_args!("{outcome}"),
         ));
     }
@@ -410,11 +384,6 @@ impl SimKernel {
         self.inner.windows = WindowedCounters::new(window_ns);
     }
 
-    /// The time-windowed counters (empty unless enabled).
-    pub fn windows(&self) -> &WindowedCounters {
-        &self.inner.windows
-    }
-
     /// The always-on flight recorder (read the tail, render dumps).
     pub fn flight(&self) -> &FlightRecorder {
         &self.inner.flight
@@ -422,24 +391,14 @@ impl SimKernel {
 
     /// Replace the flight recorder's ring with one of `capacity` events
     /// (discards recorded history).
-    pub fn set_flight_capacity(&mut self, capacity: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_flight_capacity(&mut self, capacity: usize) {
         self.inner.flight = FlightRecorder::new(capacity);
-    }
-
-    /// Should a deadline sweep that expires continuations dump the
-    /// recorder tail to stderr? On by default.
-    pub fn set_flight_dump_on_sweep(&mut self, on: bool) {
-        self.inner.flight_dump_on_sweep = on;
     }
 
     /// Turn on per-endpoint × per-method cost attribution.
     pub fn enable_profiling(&mut self) {
         self.inner.profile = KernelProfiler::enabled();
-    }
-
-    /// Is the profiler collecting?
-    pub fn profiling_enabled(&self) -> bool {
-        self.inner.profile.is_enabled()
     }
 
     /// Snapshot the profiler with endpoint names resolved (empty when
@@ -464,11 +423,6 @@ impl SimKernel {
     /// auto-scaling policy endpoint closes its control loop on.
     pub fn enable_slo_online(&mut self, cfg: SloConfig) {
         self.inner.slo = SloTracker::new_online(cfg);
-    }
-
-    /// Is SLO tracking collecting?
-    pub fn slo_enabled(&self) -> bool {
-        self.inner.slo.is_enabled()
     }
 
     /// Evaluate the collected SLO windows with endpoint names resolved.
@@ -601,7 +555,8 @@ impl SimKernel {
     }
 
     /// Is the at-most-once window active?
-    pub fn dedup_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn dedup_enabled(&self) -> bool {
         self.inner.dedup_enabled
     }
 
@@ -647,11 +602,6 @@ impl SimKernel {
     /// The first divergence found while verifying, if any.
     pub fn journal_divergence(&self) -> Option<&Divergence> {
         self.inner.journal.divergence()
-    }
-
-    /// The content-addressed snapshots of a recording session.
-    pub fn journal_snapshots(&self) -> Option<&SnapshotStore> {
-        self.inner.journal.snapshots()
     }
 
     /// Finish the journal session: flush the sink (recording) or require
@@ -874,7 +824,8 @@ impl SimKernel {
     }
 
     /// Pending events in the queue right now.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queue_len(&self) -> usize {
         self.inner.queue.len()
     }
 

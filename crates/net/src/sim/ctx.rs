@@ -3,7 +3,7 @@
 
 use super::observe::Observation;
 use super::send::send_one;
-use super::{Endpoint, EndpointId, EndpointMeta, EventKind, Inner, SendReport, Slot};
+use super::{Endpoint, EndpointId, EventKind, Inner, SendReport, Slot};
 use crate::message::{CallId, Message};
 use crate::topology::Location;
 use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
@@ -16,7 +16,6 @@ use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceContext};
 use legion_core::value::LegionValue;
 use legion_obs::slo::BurnEvent;
-use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -30,7 +29,8 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// This endpoint's id.
-    pub fn self_id(&self) -> EndpointId {
+    #[cfg(test)]
+    pub(crate) fn self_id(&self) -> EndpointId {
         self.self_id
     }
 
@@ -44,11 +44,6 @@ impl Ctx<'_> {
         self.inner.now
     }
 
-    /// The kernel's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.inner.rng
-    }
-
     /// A fresh call id.
     pub fn fresh_call_id(&mut self) -> CallId {
         self.inner.fresh_call_id()
@@ -58,11 +53,6 @@ impl Ctx<'_> {
     /// from a spent call when one is available).
     pub fn take_args(&mut self) -> Vec<LegionValue> {
         self.inner.pool.take_args()
-    }
-
-    /// Return a spent argument buffer to the kernel pool.
-    pub fn recycle_args(&mut self, args: Vec<LegionValue>) {
-        self.inner.pool.recycle_args(args);
     }
 
     /// A `LegionValue::Binding` copy of `src`, built in a recycled shell
@@ -107,11 +97,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// The trace context this handler is executing under.
-    pub fn current_trace(&self) -> TraceContext {
-        self.inner.current
-    }
-
     /// Open a root span for a new workload-level request and make it the
     /// current context. Returns [`TraceContext::NONE`] when tracing is
     /// off (everything downstream degrades to a no-op).
@@ -135,13 +120,6 @@ impl Ctx<'_> {
             format_args!("{outcome}"),
         ));
         self.inner.current = TraceContext::NONE;
-    }
-
-    /// Make `tc` the current context (continue a request whose context
-    /// was stashed across an asynchronous boundary the kernel cannot see,
-    /// e.g. state machines keyed by call id).
-    pub fn trace_resume(&mut self, tc: TraceContext) {
-        self.inner.current = tc;
     }
 
     /// Annotate the current trace with a protocol-level event (cache hit,
@@ -177,12 +155,6 @@ impl Ctx<'_> {
     pub fn flight(&mut self, kind: KernelEventKind, label: Sym, detail: u64) {
         let ev = Observation::fact(kind, self.self_id.0, detail, 0, label);
         self.inner.observe(ev);
-    }
-
-    /// Should a deadline sweep that expired continuations dump the
-    /// recorder tail?
-    pub fn flight_dump_on_sweep(&self) -> bool {
-        self.inner.flight_dump_on_sweep
     }
 
     /// Record an explicit SLO sample for this endpoint at the current
@@ -339,10 +311,5 @@ impl Ctx<'_> {
     /// current handler finishes, then the endpoint is dropped.
     pub fn kill(&mut self, id: EndpointId) {
         self.inner.detach(self.slots, id, id == self.self_id);
-    }
-
-    /// Metadata for any endpoint (alive or dead).
-    pub fn meta_of(&self, id: EndpointId) -> Option<&EndpointMeta> {
-        self.slots.get(id.0 as usize).map(|s| &s.meta)
     }
 }

@@ -5,7 +5,7 @@
 //! byte-identical output — which the acceptance tests assert.
 
 use crate::span::SpanEvent;
-use serde::{json, DeError, Deserialize, Serialize};
+use serde::{json, Serialize};
 
 /// Render events as JSON Lines (one compact object per line, trailing
 /// newline included when non-empty).
@@ -19,7 +19,9 @@ pub fn to_jsonl(events: &[SpanEvent]) -> String {
 }
 
 /// Parse JSON Lines back into events (blank lines are skipped).
-pub fn from_jsonl(text: &str) -> Result<Vec<SpanEvent>, DeError> {
+#[cfg(test)]
+pub(crate) fn from_jsonl(text: &str) -> Result<Vec<SpanEvent>, serde::DeError> {
+    use serde::Deserialize;
     text.lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| {

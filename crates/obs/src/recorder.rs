@@ -116,18 +116,15 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Nothing recorded yet?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
@@ -137,7 +134,8 @@ impl FlightRecorder {
     }
 
     /// Events lost to overwriting.
-    pub fn overwritten(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn overwritten(&self) -> u64 {
         self.total - self.buf.len() as u64
     }
 
@@ -179,7 +177,8 @@ impl FlightRecorder {
     }
 
     /// The tail as a JSON value: `{total, overwritten, tail: [...]}`.
-    pub fn tail_json(&self, n: usize) -> Value {
+    #[cfg(test)]
+    pub(crate) fn tail_json(&self, n: usize) -> Value {
         Value::Object(vec![
             ("total".to_string(), Value::U64(self.total)),
             ("overwritten".to_string(), Value::U64(self.overwritten())),

@@ -97,17 +97,20 @@ impl TraceSink {
     }
 
     /// Number of events currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Iterate held events in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
         self.events.iter()
     }
 

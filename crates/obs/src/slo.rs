@@ -202,7 +202,8 @@ impl SloTracker {
     }
 
     /// Is the incremental burn monitor active?
-    pub fn online_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn online_enabled(&self) -> bool {
         self.online.is_some()
     }
 
@@ -214,16 +215,6 @@ impl SloTracker {
             Some(m) => std::mem::take(&mut m.fired),
             None => Vec::new(),
         }
-    }
-
-    /// Is the tracker collecting?
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.is_some()
-    }
-
-    /// The active configuration, if any.
-    pub fn config(&self) -> Option<&SloConfig> {
-        self.cfg.as_ref()
     }
 
     /// Record a delivery latency observed at virtual time `at_ns` for
@@ -393,12 +384,14 @@ pub struct SloReport {
 
 impl SloReport {
     /// Did every endpoint stay within budget?
-    pub fn all_ok(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_ok(&self) -> bool {
         self.endpoints.iter().all(|e| e.ok)
     }
 
     /// Total burn-rate alarms fired.
-    pub fn burn_event_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn burn_event_count(&self) -> usize {
         self.endpoints.iter().map(|e| e.burn_events.len()).sum()
     }
 

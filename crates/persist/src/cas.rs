@@ -10,11 +10,12 @@
 //! * [`sha256`] — a local, dependency-free SHA-256 (FIPS 180-4);
 //! * [`ChunkId`] — a 32-byte content hash naming a chunk;
 //! * [`BlobStore`] — the store interface, with an in-memory
-//!   ([`MemBlobStore`]) and a directory-backed ([`DirBlobStore`])
-//!   implementation.
+//!   implementation ([`MemBlobStore`]); a directory-backed one exists in
+//!   test builds.
 
 use std::collections::BTreeMap;
 use std::fmt;
+#[cfg(test)]
 use std::path::PathBuf;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
@@ -183,7 +184,8 @@ impl ChunkId {
     }
 
     /// Parse a 64-char hex string back into an id.
-    pub fn from_hex(s: &str) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 64 {
             return None;
         }
@@ -242,7 +244,8 @@ pub struct MemBlobStore {
 
 impl MemBlobStore {
     /// An empty store.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -278,14 +281,16 @@ impl BlobStore for MemBlobStore {
 /// A directory-backed blob store: one file per chunk, named by its hex
 /// id. Writes are idempotent; a chunk whose file already exists is never
 /// rewritten.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct DirBlobStore {
+pub(crate) struct DirBlobStore {
     dir: PathBuf,
 }
 
+#[cfg(test)]
 impl DirBlobStore {
     /// Open (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+    pub(crate) fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(DirBlobStore { dir })
@@ -296,6 +301,7 @@ impl DirBlobStore {
     }
 }
 
+#[cfg(test)]
 impl BlobStore for DirBlobStore {
     fn put(&mut self, bytes: &[u8]) -> (ChunkId, bool) {
         let id = ChunkId::of(bytes);

@@ -53,30 +53,33 @@ pub fn update(state: u32, data: &[u8]) -> u32 {
 }
 
 /// Incremental CRC-32 hasher.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
+#[cfg(test)]
 impl Default for Crc32 {
     fn default() -> Self {
         Self::new()
     }
 }
 
+#[cfg(test)]
 impl Crc32 {
     /// A fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
     /// Feed bytes.
-    pub fn write(&mut self, data: &[u8]) {
+    pub(crate) fn write(&mut self, data: &[u8]) {
         self.state = update(self.state, data);
     }
 
     /// Finish and return the checksum.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }

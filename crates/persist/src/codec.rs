@@ -82,16 +82,6 @@ impl Writer {
         self.buf.clear();
     }
 
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write a raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
@@ -252,11 +242,6 @@ impl<'a> Reader<'a> {
     /// Read from `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     /// Have all bytes been consumed?

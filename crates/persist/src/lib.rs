@@ -26,8 +26,8 @@ pub mod codec;
 pub mod opr;
 pub mod storage;
 
-pub use cas::{sha256, BlobStore, ChunkId, DirBlobStore, MemBlobStore, Sha256};
-pub use checksum::{crc32, digest64, mix64, Crc32};
+pub use cas::{sha256, BlobStore, ChunkId, MemBlobStore, Sha256};
+pub use checksum::{crc32, digest64, mix64};
 pub use codec::{decode_value, encode_value, CodecError, CodecResult, Reader, Writer};
 pub use opr::{Opr, OprError};
 pub use storage::{JurisdictionStorage, PersistentAddress, SimDisk, StorageError};

@@ -20,7 +20,7 @@
 //! ```
 
 use crate::checksum::crc32;
-use crate::codec::{CodecError, CodecResult, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer};
 use bytes::Bytes;
 use legion_core::loid::Loid;
 use std::fmt;
@@ -170,25 +170,12 @@ impl Opr {
             state,
         })
     }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 /// Quick check whether bytes look like an OPR (magic only).
-pub fn looks_like_opr(bytes: &[u8]) -> bool {
+#[cfg(test)]
+pub(crate) fn looks_like_opr(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && &bytes[..4] == MAGIC
-}
-
-/// Convenience: decode, returning a codec result for callers that treat
-/// all failures alike.
-pub fn decode_strict(bytes: &[u8]) -> CodecResult<Opr> {
-    Opr::decode(bytes).map_err(|e| match e {
-        OprError::Codec(c) => c,
-        _ => CodecError::Truncated,
-    })
 }
 
 #[cfg(test)]

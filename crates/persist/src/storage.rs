@@ -203,16 +203,6 @@ impl JurisdictionStorage {
         }
     }
 
-    /// The jurisdiction this storage belongs to.
-    pub fn jurisdiction(&self) -> u32 {
-        self.jurisdiction
-    }
-
-    /// Number of disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Total bytes in use across disks.
     pub fn used(&self) -> u64 {
         self.disks.iter().map(|d| d.used()).sum()
@@ -282,7 +272,8 @@ impl JurisdictionStorage {
     }
 
     /// Checkpoints deduplicated away (stores that wrote nothing).
-    pub fn dedup_hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dedup_hits(&self) -> u64 {
         self.dedup_hits
     }
 
@@ -291,7 +282,8 @@ impl JurisdictionStorage {
     /// physical footprint.
     ///
     /// [`used`]: JurisdictionStorage::used
-    pub fn logical_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn logical_bytes(&self) -> u64 {
         self.logical_bytes
     }
 
@@ -342,13 +334,19 @@ impl JurisdictionStorage {
     }
 
     /// Does a file exist at `addr` (and in this jurisdiction)?
-    pub fn exists(&self, addr: &PersistentAddress) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exists(&self, addr: &PersistentAddress) -> bool {
         self.check(addr).is_ok() && self.disks[addr.disk as usize].read(&addr.path).is_ok()
     }
 
     /// Corrupt one byte of the file at `addr` (fault injection for tests
     /// and the lifecycle experiments).
-    pub fn corrupt(&mut self, addr: &PersistentAddress, offset: usize) -> Result<(), StorageError> {
+    #[cfg(test)]
+    pub(crate) fn corrupt(
+        &mut self,
+        addr: &PersistentAddress,
+        offset: usize,
+    ) -> Result<(), StorageError> {
         self.check(addr)?;
         let disk = &mut self.disks[addr.disk as usize];
         let bytes = disk

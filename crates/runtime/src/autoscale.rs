@@ -93,13 +93,9 @@ impl HysteresisState {
         self.clones
     }
 
-    /// Is a clone request currently in flight?
-    pub fn pending(&self) -> bool {
-        self.pending
-    }
-
     /// Current consecutive burning-tick count.
-    pub fn burn_streak(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn burn_streak(&self) -> u32 {
         self.burn_streak
     }
 
@@ -214,11 +210,6 @@ impl AutoScaler {
             burning_ticks: 0,
             clone_log: Vec::new(),
         }
-    }
-
-    /// The decision state (tests, experiments).
-    pub fn state(&self) -> &HysteresisState {
-        &self.state
     }
 
     fn issue_derive(&mut self, ctx: &mut Ctx<'_>) {

@@ -152,21 +152,9 @@ impl ClassEndpoint {
         }
     }
 
-    /// Replace the admission model (test/experiment wiring after build;
-    /// resets the ledger). `None` restores instantaneous service.
-    pub fn set_admission(&mut self, cfg: Option<AdmissionConfig>) {
-        self.cfg.admission = cfg;
-        self.admission = cfg.map(AdmissionQueue::new);
-    }
-
     /// The admission ledger, when admission control is on.
     pub fn admission(&self) -> Option<&AdmissionQueue> {
         self.admission.as_ref()
-    }
-
-    /// Admitted calls currently awaiting their service-completion timer.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// High-water mark of the deferred-call map — must stay within the
@@ -990,16 +978,6 @@ impl LegionClassEndpoint {
             .adopt(loid, legion_core::wellknown::LEGION_CLASS)
             .expect("adopting a class object");
         self.class_bindings.insert(loid, binding);
-    }
-
-    /// Authority access (experiment counters).
-    pub fn authority(&self) -> &LegionClassAuthority {
-        &self.authority
-    }
-
-    /// Mutable authority access.
-    pub fn authority_mut(&mut self) -> &mut LegionClassAuthority {
-        &mut self.authority
     }
 }
 

@@ -11,14 +11,12 @@
 //! directory.
 
 use legion_core::context::Context;
-use legion_core::dispatch::InvocationGate;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint};
-use legion_security::MayIPolicy;
 use std::rc::Rc;
 
 /// Method names exported by context objects.
@@ -35,9 +33,7 @@ pub mod methods {
 
 /// The live context object.
 pub struct ContextEndpoint {
-    loid: Loid,
     context: Context,
-    mayi: Box<dyn MayIPolicy>,
     table: Rc<MethodTable<Self>>,
 }
 
@@ -45,36 +41,18 @@ impl ContextEndpoint {
     /// An empty named context object.
     pub fn new(loid: Loid) -> Self {
         ContextEndpoint {
-            loid,
             context: Context::new(),
-            mayi: Box::new(legion_security::AllowAll),
             table: Self::table(loid),
         }
     }
 
-    /// Install a `MayI` policy (checked at the dispatch boundary).
-    pub fn set_policy(&mut self, policy: Box<dyn MayIPolicy>) {
-        self.mayi = policy;
-    }
-
-    /// Read access for tests and drivers.
-    pub fn context(&self) -> &Context {
-        &self.context
-    }
-
-    /// This context object's LOID.
-    pub fn loid(&self) -> Loid {
-        self.loid
-    }
-
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {
         TableBuilder::new("context", "Context", loid)
-            .gate(|e: &Self| &e.mayi as &dyn InvocationGate)
             .method::<(String, Loid), _>(
                 methods::BIND_NAME,
                 &["path", "target"],
                 ParamType::Void,
-                |e, _ctx, _msg, (path, target)| {
+                |e: &mut Self, _ctx, _msg, (path, target)| {
                     Outcome::Reply(
                         e.context
                             .bind_path(&path, target)

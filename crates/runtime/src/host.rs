@@ -150,18 +150,14 @@ impl HostObjectEndpoint {
     }
 
     /// Objects currently running here.
-    pub fn running_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn running_count(&self) -> usize {
         self.running.len()
     }
 
     /// Is `loid` running here?
     pub fn is_running(&self, loid: &Loid) -> bool {
         self.running.contains_key(loid)
-    }
-
-    /// The host's LOID.
-    pub fn loid(&self) -> Loid {
-        self.cfg.loid
     }
 
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {

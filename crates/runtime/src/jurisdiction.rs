@@ -65,7 +65,8 @@ impl JurisdictionMap {
     }
 
     /// Create a child jurisdiction under `parent`.
-    pub fn create_child(&mut self, parent: u32, name: impl Into<String>) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn create_child(&mut self, parent: u32, name: impl Into<String>) -> Option<u32> {
         if !self.by_id.contains_key(&parent) {
             return None;
         }
@@ -85,12 +86,14 @@ impl JurisdictionMap {
     }
 
     /// Number of jurisdictions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.by_id.len()
     }
 
     /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.by_id.is_empty()
     }
 
@@ -107,7 +110,8 @@ impl JurisdictionMap {
     }
 
     /// Every jurisdiction containing `host`.
-    pub fn jurisdictions_of(&self, host: &Loid) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn jurisdictions_of(&self, host: &Loid) -> Vec<u32> {
         self.by_id
             .values()
             .filter(|j| j.hosts.contains(host))
@@ -116,7 +120,8 @@ impl JurisdictionMap {
     }
 
     /// Are two jurisdictions non-disjoint (share at least one host)?
-    pub fn overlap(&self, a: u32, b: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlap(&self, a: u32, b: u32) -> bool {
         match (self.by_id.get(&a), self.by_id.get(&b)) {
             (Some(ja), Some(jb)) => ja.hosts.intersection(&jb.hosts).next().is_some(),
             _ => false,
@@ -124,7 +129,8 @@ impl JurisdictionMap {
     }
 
     /// The ancestor chain of `id`, nearest first (excluding `id`).
-    pub fn ancestors(&self, id: u32) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn ancestors(&self, id: u32) -> Vec<u32> {
         let mut out = Vec::new();
         let mut cur = self.by_id.get(&id).and_then(|j| j.parent);
         while let Some(p) = cur {
@@ -159,7 +165,8 @@ impl JurisdictionMap {
     }
 
     /// All jurisdiction ids.
-    pub fn ids(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn ids(&self) -> Vec<u32> {
         self.by_id.keys().copied().collect()
     }
 }

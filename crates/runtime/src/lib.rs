@@ -40,4 +40,4 @@ pub use magistrate::{MagistrateConfig, MagistrateEndpoint, ObjState};
 pub use object::ActiveObjectEndpoint;
 pub use protocol::ActivationSpec;
 pub use sched_agent::SchedulingAgentEndpoint;
-pub use scheduler::{Affinity, HostView, LeastLoaded, RandomPick, RoundRobin, SchedulingPolicy};
+pub use scheduler::{HostView, LeastLoaded, SchedulingPolicy};

@@ -144,7 +144,7 @@ pub struct MagistrateEndpoint {
     cfg: MagistrateConfig,
     storage: JurisdictionStorage,
     hosts: Vec<HostRecord>,
-    policy: Box<dyn SchedulingPolicy>,
+    policy: LeastLoaded,
     mayi: Box<dyn MayIPolicy>,
     objects: HashMap<Loid, ObjRecord>,
     table: Rc<MethodTable<Self>>,
@@ -169,7 +169,7 @@ impl MagistrateEndpoint {
         MagistrateEndpoint {
             storage,
             hosts: Vec::new(),
-            policy: Box::new(LeastLoaded),
+            policy: LeastLoaded,
             mayi: Box::new(AllowAll),
             objects: HashMap::new(),
             table: Self::table(cfg.loid),
@@ -322,17 +322,6 @@ impl MagistrateEndpoint {
         self.ha.as_ref().map(|h| &h.tracker)
     }
 
-    /// Detector's view of a host's health, when HA is enabled.
-    pub fn host_health(&self, loid: &Loid) -> Option<Health> {
-        self.ha.as_ref().and_then(|h| h.detector.health(loid))
-    }
-
-    /// Replace the scheduling policy (a Scheduling Agent hook, §3.8).
-    pub fn with_policy(mut self, policy: Box<dyn SchedulingPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Replace the security policy — "a Magistrate has the authority to
     /// reject requests".
     pub fn with_mayi(mut self, mayi: Box<dyn MayIPolicy>) -> Self {
@@ -354,11 +343,6 @@ impl MagistrateEndpoint {
     /// Register a peer magistrate for Copy/Move by LOID.
     pub fn add_peer(&mut self, loid: Loid, element: ObjectAddressElement) {
         self.peers.insert(loid, element);
-    }
-
-    /// The Magistrate's LOID.
-    pub fn loid(&self) -> Loid {
-        self.cfg.loid
     }
 
     /// Current state of an object, if managed here.

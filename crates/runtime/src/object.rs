@@ -61,13 +61,9 @@ impl ActiveObjectEndpoint {
     }
 
     /// Read access to the wrapped object (tests, host inspection).
-    pub fn object(&self) -> &GenericObject {
+    #[cfg(test)]
+    pub(crate) fn object(&self) -> &GenericObject {
         &self.obj
-    }
-
-    /// Mutable access (test setup).
-    pub fn object_mut(&mut self) -> &mut GenericObject {
-        &mut self.obj
     }
 
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {

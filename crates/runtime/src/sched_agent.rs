@@ -24,10 +24,10 @@ use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{
-    cont_expecting, insert_pending, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
+    cont_expecting, reply_id, serve, take_reply_result, Continuations, MethodTable, Outcome,
+    TableBuilder,
 };
-use legion_net::message::{CallId, Message};
+use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -54,10 +54,6 @@ pub struct SchedulingAgentEndpoint {
     table: Rc<MethodTable<Self>>,
     /// Suggestions served (experiment accounting).
     pub suggestions: u64,
-    /// When set, outstanding `GetState` continuations expire after this
-    /// many virtual ns — a silent host then counts as "no answer"
-    /// instead of wedging its poll forever. `None` (default) waits.
-    call_deadline_ns: Option<u64>,
 }
 
 impl SchedulingAgentEndpoint {
@@ -71,31 +67,7 @@ impl SchedulingAgentEndpoint {
             next_poll: 0,
             table: Self::table(loid),
             suggestions: 0,
-            call_deadline_ns: None,
         }
-    }
-
-    /// Expire outstanding poll continuations after `deadline_ns`
-    /// (opt-in; see the `call_deadline_ns` field).
-    pub fn set_call_deadline_ns(&mut self, deadline_ns: Option<u64>) {
-        self.call_deadline_ns = deadline_ns;
-    }
-
-    /// Outstanding (unresolved) call continuations.
-    pub fn outstanding_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
-    /// Register an outbound call's continuation under the deadline policy.
-    fn pend(&mut self, ctx: &mut Ctx<'_>, call_id: CallId, k: Continuation<Self>) {
-        insert_pending(
-            &mut self.continuations,
-            ctx,
-            call_id,
-            k,
-            self.call_deadline_ns,
-            TIMER_DEADLINE_SWEEP,
-        );
     }
 
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {
@@ -122,8 +94,7 @@ impl SchedulingAgentEndpoint {
                             Some(host),
                         ) {
                             // GetState reply: [running, capacity, cpu, mem].
-                            e.pend(
-                                ctx,
+                            e.continuations.insert(
                                 call,
                                 cont_expecting::<Self, Vec<LegionValue>, _>(
                                     move |e, ctx, state| e.absorb(ctx, poll_id, host, state),
@@ -197,21 +168,6 @@ impl SchedulingAgentEndpoint {
 }
 
 impl Endpoint for SchedulingAgentEndpoint {
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag == TIMER_DEADLINE_SWEEP {
-            fn conts(
-                e: &mut SchedulingAgentEndpoint,
-            ) -> &mut Continuations<SchedulingAgentEndpoint> {
-                &mut e.continuations
-            }
-            let after_ns = self.call_deadline_ns.unwrap_or(0);
-            let expired = sweep_expired(self, ctx, conts, after_ns);
-            for _ in 0..expired {
-                ctx.count("sched_agent.timeouts");
-            }
-        }
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if let Some(id) = reply_id(&msg) {
             if let Some(resume) = self.continuations.take(&id) {

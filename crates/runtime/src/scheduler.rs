@@ -41,9 +41,11 @@ pub trait SchedulingPolicy: Send {
 }
 
 /// Deterministic pseudo-random pick among hosts with free capacity.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct RandomPick;
+pub(crate) struct RandomPick;
 
+#[cfg(test)]
 impl SchedulingPolicy for RandomPick {
     fn pick(&mut self, hosts: &[HostView], salt: u64) -> Option<Loid> {
         let open: Vec<&HostView> = hosts.iter().filter(|h| h.free() > 0).collect();
@@ -63,11 +65,13 @@ impl SchedulingPolicy for RandomPick {
 }
 
 /// Strict rotation over hosts with free capacity.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     next: usize,
 }
 
+#[cfg(test)]
 impl SchedulingPolicy for RoundRobin {
     fn pick(&mut self, hosts: &[HostView], _salt: u64) -> Option<Loid> {
         if hosts.is_empty() {
@@ -106,16 +110,18 @@ impl SchedulingPolicy for LeastLoaded {
 }
 
 /// Always prefer one pinned host, falling back to least-loaded.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Affinity {
+pub(crate) struct Affinity {
     /// The preferred host.
     pub preferred: Loid,
     fallback: LeastLoaded,
 }
 
+#[cfg(test)]
 impl Affinity {
     /// Prefer `host`.
-    pub fn new(host: Loid) -> Self {
+    pub(crate) fn new(host: Loid) -> Self {
         Affinity {
             preferred: host,
             fallback: LeastLoaded,
@@ -123,6 +129,7 @@ impl Affinity {
     }
 }
 
+#[cfg(test)]
 impl SchedulingPolicy for Affinity {
     fn pick(&mut self, hosts: &[HostView], salt: u64) -> Option<Loid> {
         if let Some(h) = hosts.iter().find(|h| h.loid == self.preferred) {

@@ -23,5 +23,5 @@ pub mod mayi;
 pub mod trust;
 
 pub use keys::{key_is_well_formed, verify_env, verify_iam};
-pub use mayi::{AllOf, AllowAll, Decision, DenyAll, MayIPolicy, MethodAcl, ResponsibleAgentSet};
+pub use mayi::{AllOf, AllowAll, Decision, MayIPolicy, MethodAcl, ResponsibleAgentSet};
 pub use trust::TrustRegistry;

@@ -64,9 +64,11 @@ impl MayIPolicy for AllowAll {
 }
 
 /// Refuse everything (a quarantined object).
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct DenyAll;
+pub(crate) struct DenyAll;
 
+#[cfg(test)]
 impl MayIPolicy for DenyAll {
     fn may_i(&self, _env: &InvocationEnv, method: &str) -> Decision {
         Decision::Deny(format!("deny-all policy refuses {method}"))
@@ -114,7 +116,8 @@ impl MethodAcl {
     }
 
     /// An ACL whose unlisted methods are allowed.
-    pub fn allow_by_default() -> Self {
+    #[cfg(test)]
+    pub(crate) fn allow_by_default() -> Self {
         MethodAcl {
             callers: BTreeMap::new(),
             classes: BTreeMap::new(),

@@ -36,12 +36,14 @@ impl TrustRegistry {
 
     /// Revoke `who`'s certification under `label`. Returns whether it was
     /// present.
-    pub fn revoke(&mut self, label: &str, who: &Loid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn revoke(&mut self, label: &str, who: &Loid) -> bool {
         self.sets.get_mut(label).is_some_and(|s| s.remove(who))
     }
 
     /// Is `who` certified under `label`?
-    pub fn is_certified(&self, label: &str, who: &Loid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_certified(&self, label: &str, who: &Loid) -> bool {
         self.sets.get(label).is_some_and(|s| s.contains(who))
     }
 
@@ -54,7 +56,8 @@ impl TrustRegistry {
     }
 
     /// All labels `who` is certified under.
-    pub fn labels_of(&self, who: &Loid) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn labels_of(&self, who: &Loid) -> Vec<&str> {
         self.sets
             .iter()
             .filter(|(_, s)| s.contains(who))
@@ -63,12 +66,14 @@ impl TrustRegistry {
     }
 
     /// Number of labels.
-    pub fn label_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn label_count(&self) -> usize {
         self.sets.len()
     }
 
     /// Filter `candidates` down to those certified under `label`.
-    pub fn filter_certified<'a>(
+    #[cfg(test)]
+    pub(crate) fn filter_certified<'a>(
         &self,
         label: &str,
         candidates: impl IntoIterator<Item = &'a Loid>,

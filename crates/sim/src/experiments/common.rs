@@ -3,7 +3,6 @@
 
 use crate::system::LegionSystem;
 use crate::workload::{generate_plan, ClientReport, LookupClient, WorkloadConfig};
-use legion_core::binding::Binding;
 use legion_core::loid::Loid;
 use legion_naming::stubs::StaticClassEndpoint;
 use legion_net::sim::EndpointId;
@@ -140,13 +139,4 @@ pub fn build_central_directory(sys: &mut LegionSystem) -> EndpointId {
     }
     sys.kernel
         .add_endpoint(Box::new(dir), Location::new(0, 900), "central-directory")
-}
-
-/// Register an extra object binding in a central directory (post-build).
-pub fn directory_insert(sys: &mut LegionSystem, dir: EndpointId, binding: Binding) {
-    sys.kernel
-        .endpoint_mut::<StaticClassEndpoint>(dir)
-        .expect("directory exists")
-        .table
-        .insert(binding.loid, binding);
 }

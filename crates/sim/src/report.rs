@@ -33,12 +33,14 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 

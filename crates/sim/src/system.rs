@@ -515,7 +515,8 @@ impl LegionSystem {
     }
 
     /// Messages received by each class endpoint, in class order.
-    pub fn class_loads(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn class_loads(&self) -> Vec<u64> {
         self.classes
             .iter()
             .map(|(_, ep)| self.kernel.meta(*ep).map(|m| m.received).unwrap_or(0))
