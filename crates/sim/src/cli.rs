@@ -45,6 +45,12 @@ struct Opts {
     bisect: Option<(String, String)>,
 }
 
+/// The experiment ids `legion-exp` runs, in run order (E14 is retired).
+const EXPERIMENTS: [&str; 17] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16",
+    "e17", "e18",
+];
+
 /// Accept `e01`/`E01` spellings for `e1` etc.
 fn normalize(name: &str) -> String {
     let lower = name.to_ascii_lowercase();
@@ -116,7 +122,7 @@ fn parse_args() -> Opts {
                 eprintln!(
                     "usage: legion-exp [--quick] [--trace-out FILE] [--metrics-out FILE] \
                      [--report-out FILE] [--journal-out FILE | --replay-from FILE \
-                     [--from-snapshot]] (all | e1 e2 ... e18)\n\
+                     [--from-snapshot]] (all | e1 ... e13 e15 ... e18)\n\
                      \u{20}      legion-exp --bisect A B\n\
                      Runs the Legion reproduction experiments (see EXPERIMENTS.md).\n\
                      --trace-out     write the traced E1 run's spans as JSONL\n\
@@ -132,7 +138,17 @@ fn parse_args() -> Opts {
                 );
                 std::process::exit(0);
             }
-            other => which.push(normalize(other)),
+            other => {
+                let id = normalize(other);
+                if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
+                    eprintln!(
+                        "unknown argument `{other}`; valid experiments: all {}",
+                        EXPERIMENTS.join(" ")
+                    );
+                    std::process::exit(2);
+                }
+                which.push(id);
+            }
         }
     }
     if which.is_empty() {
