@@ -14,9 +14,11 @@
 //!   — run the measurement, merge the bench log and the optional "pre"
 //!   measurement, and write the snapshot.
 //! * `check --against BENCH_CORE.json [--criterion-log F]` — re-measure
-//!   and fail (exit 1) if `allocs_per_message` regressed >5% or any
+//!   and fail (exit 1) if `allocs_per_message` regressed >5%, any
 //!   tracked Criterion median regressed >20% against the committed
-//!   snapshot. Wall-clock metrics (`messages_per_sec`) are reported but
+//!   snapshot, or a tracked bench is missing from the log (the script
+//!   runs every bench, so a missing label is a deleted or renamed
+//!   bench). Wall-clock metrics (`messages_per_sec`) are reported but
 //!   never gated: they depend on the machine.
 
 use legion_bench::alloc_counter::{self, CountingAlloc};
@@ -399,7 +401,8 @@ fn main() -> ExitCode {
                     continue;
                 };
                 let Some((_, now_ns)) = criterion.iter().find(|(l, _)| l == label) else {
-                    println!("bench {label}: missing from this run (not gated)");
+                    println!("bench {label}: MISSING from this run (deleted or renamed?)");
+                    failed = true;
                     continue;
                 };
                 if committed_ns < GATE_FLOOR_NS {
