@@ -10,10 +10,11 @@ use legion_bench::measure::{
     e12_steady_state, e12_steady_state_instrumented, e12_steady_state_journal_only,
     e12_steady_state_journaled, SNAPSHOT_SEED,
 };
+use legion_core::event::KernelEventKind;
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_net::metrics::{Counters, WindowedCounters};
-use legion_net::sim::{FlightEvent, FlightKind, FlightRecorder};
+use legion_net::sim::{FlightEvent, FlightRecorder};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -74,7 +75,7 @@ fn hot_path_allocation_budgets() {
         for i in 0..1_000u64 {
             flight.record(FlightEvent {
                 at: SimTime(i),
-                kind: FlightKind::Deliver,
+                kind: KernelEventKind::Deliver,
                 endpoint: i % 7,
                 label: symbol::NET_DELAYED,
                 detail: i,
