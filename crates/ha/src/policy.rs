@@ -19,8 +19,6 @@ pub enum Health {
     Dead,
 }
 
-impl Health {}
-
 /// A pluggable rule classifying heartbeat silence.
 ///
 /// `silence_ns` is virtual time since the last heartbeat (or since

@@ -241,8 +241,6 @@ pub struct SendReport {
     pub accepted: usize,
 }
 
-impl SendReport {}
-
 /// The deterministic discrete-event kernel.
 pub struct SimKernel {
     slots: Vec<Slot>,
